@@ -11,11 +11,13 @@
 //! 1. The orchestrator (`e15` bin) spawns one **server subprocess** per
 //!    mode so the two runs cannot pollute each other's RSS baseline
 //!    (freed pages from run A would be silently reused by run B).
-//! 2. The server subprocess launches a [`TcpServer`] in the requested
-//!    mode, notes its own `VmRSS`, then spawns a **client subprocess**
-//!    that opens N keep-alive connections and completes one request on
-//!    every one of them (proving each connection is genuinely served,
-//!    not just parked in a backlog).
+//! 2. The server subprocess launches the requested server (the
+//!    reactor-backed [`TcpServer`], or the thread-per-connection
+//!    baseline private to this module), notes its own `VmRSS`, then
+//!    spawns a **client subprocess** that opens N keep-alive
+//!    connections and completes one request on every one of them
+//!    (proving each connection is genuinely served, not just parked in
+//!    a backlog).
 //! 3. With all N connections still open, the client prints `READY`; the
 //!    server process re-reads `VmRSS` — the delta divided by the held
 //!    connection count is the marginal memory per connection — and
@@ -27,13 +29,15 @@
 //! it is a fork bomb, so its row is normalised per-connection instead.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wsp_http::tcp::ServerMode;
-use wsp_http::{frame_len, HeadScan, Request, Response, Router, ServerConfig, TcpServer};
+use wsp_http::{
+    encode_response, frame_len, parse_request, HeadScan, Request, Response, Router, TcpServer,
+};
 
 /// One measured server mode.
 #[derive(Debug, Clone)]
@@ -193,13 +197,83 @@ fn parse_field_f64(line: &str, key: &str) -> Option<f64> {
     rest.parse().ok()
 }
 
-/// Server subprocess body: launch the server in `mode_name`, drive the
-/// client subprocess through the READY/GO/RESULT protocol, and print a
-/// single `ROW ...` line for the orchestrator.
+/// The thread-per-connection baseline: one blocking thread per
+/// accepted connection, each running a keep-alive loop over the shared
+/// codec and [`Router`]. It has no drain, deadlines or connection cap;
+/// it exists only to price the pre-reactor serving model. Returns the
+/// bound address and the live-connection count. Its threads are never
+/// joined: the server subprocess exits right after printing its row.
+fn launch_threaded(router: Router) -> std::io::Result<(SocketAddr, Arc<AtomicUsize>)> {
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?;
+    let active = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&active);
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            let router = router.clone();
+            let active = Arc::clone(&counted);
+            active.fetch_add(1, Ordering::SeqCst);
+            std::thread::spawn(move || {
+                serve_keep_alive(stream, &router);
+                active.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+    });
+    Ok((addr, active))
+}
+
+/// Serve requests on one connection until the peer closes it or sends
+/// something unparseable.
+fn serve_keep_alive(mut stream: TcpStream, router: &Router) {
+    let mut buf: Vec<u8> = Vec::with_capacity(4096);
+    let mut chunk = [0u8; 4096];
+    let mut scan = HeadScan::new();
+    loop {
+        if let Some(body_start) = scan.find(&buf) {
+            let Ok(total) = frame_len(&buf, body_start) else {
+                return;
+            };
+            if buf.len() >= total {
+                let Ok((request, used)) = parse_request(&buf[..total]) else {
+                    return;
+                };
+                buf.drain(..used);
+                scan.reset();
+                let mut response = router.handle(&request);
+                response.headers.set("Connection", "keep-alive");
+                if stream.write_all(&encode_response(&response)).is_err() {
+                    return;
+                }
+                continue;
+            }
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+        }
+    }
+}
+
+/// Server subprocess body: launch the server in `mode_name` (the
+/// reactor-backed [`TcpServer`] or the thread-per-connection baseline),
+/// drive the client subprocess through the READY/GO/RESULT protocol,
+/// and print a single `ROW ...` line for the orchestrator.
 pub fn serve_mode(mode_name: &str, conns: usize, sample: usize) -> std::io::Result<E15Row> {
-    let mode = match mode_name {
-        "reactor" => ServerMode::Reactor,
-        "threaded" => ServerMode::Threaded,
+    let router = Router::new();
+    router.deploy(
+        "Echo",
+        Arc::new(|_req: &Request| Response::ok("text/plain", "ok")),
+    );
+    let (addr, active_connections): (SocketAddr, Box<dyn Fn() -> usize>) = match mode_name {
+        "reactor" => {
+            // Default config: 4 handler workers, no connection cap.
+            let server = TcpServer::launch(0, router)?;
+            (server.addr(), Box::new(move || server.active_connections()))
+        }
+        "threaded" => {
+            let (addr, active) = launch_threaded(router)?;
+            (addr, Box::new(move || active.load(Ordering::SeqCst)))
+        }
         other => {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -207,20 +281,7 @@ pub fn serve_mode(mode_name: &str, conns: usize, sample: usize) -> std::io::Resu
             ))
         }
     };
-    let router = Router::new();
-    router.deploy(
-        "Echo",
-        Arc::new(|_req: &Request| Response::ok("text/plain", "ok")),
-    );
-    let config = ServerConfig {
-        mode,
-        workers: 4,
-        max_connections: None,
-        drain_deadline: Duration::from_secs(5),
-        ..ServerConfig::default()
-    };
-    let server = TcpServer::launch_with(0, router, config)?;
-    let addr = server.addr().to_string();
+    let addr = addr.to_string();
 
     let started = Instant::now();
     let rss_before_kb = rss_kb();
@@ -245,7 +306,7 @@ pub fn serve_mode(mode_name: &str, conns: usize, sample: usize) -> std::io::Resu
     let wave_ok = parse_field(&ready, "ok").unwrap_or(0) as usize;
     // The client holds every connection open right now: this is the
     // density measurement.
-    let held_conns = server.active_connections();
+    let held_conns = active_connections();
     let rss_after_kb = rss_kb();
 
     writeln!(stdin, "GO")?;
@@ -260,7 +321,6 @@ pub fn serve_mode(mode_name: &str, conns: usize, sample: usize) -> std::io::Resu
 
     let wall_ms = started.elapsed().as_millis() as u64;
     let kb_per_conn = rss_after_kb.saturating_sub(rss_before_kb) as f64 / held_conns.max(1) as f64;
-    server.shutdown();
 
     Ok(E15Row {
         mode: mode_name.to_owned(),

@@ -152,21 +152,17 @@ impl Shared {
             credential.apply(&mut request);
         }
         // Wire-level failures are `Transport`: the resilience layer may
-        // retry them or fail over, unlike semantic `Invoke` errors.
-        // The pooled path keeps its fixed per-exchange timeout (pooled
-        // sockets share their read timeout); one-shot calls honour the
-        // tighter per-call budget.
-        if self.config.keep_alive {
-            self.pool
-                .call(&uri.host, uri.port, request)
-                .map_err(|e| WspError::Transport(e.to_string()))
+        // retry them or fail over, unlike semantic `Invoke` errors. Both
+        // paths cap the read wait at the remaining budget.
+        let timeout = timeout
+            .unwrap_or(DEFAULT_CLIENT_TIMEOUT)
+            .min(DEFAULT_CLIENT_TIMEOUT);
+        let response = if self.config.keep_alive {
+            self.pool.call_within(&uri.host, uri.port, request, timeout)
         } else {
-            let timeout = timeout
-                .unwrap_or(DEFAULT_CLIENT_TIMEOUT)
-                .min(DEFAULT_CLIENT_TIMEOUT);
             http_call_with_timeout(&uri.host, uri.port, request, timeout)
-                .map_err(|e| WspError::Transport(e.to_string()))
-        }
+        };
+        response.map_err(|e| WspError::Transport(e.to_string()))
     }
 }
 

@@ -28,7 +28,7 @@
 //! tests here exercise the shell around it.
 
 use crate::machines::breaker::{
-    Admit, BreakerEffect, BreakerEvent, BreakerMachine, BreakerState as MachineState, Phase,
+    Admit, BreakerEffect, BreakerEvent, BreakerMachine, BreakerState as MachineState,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -54,13 +54,10 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Observable breaker state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    Closed,
-    Open,
-    HalfOpen,
-}
+/// Observable breaker state: the machine's [`Phase`] at a given time.
+///
+/// [`Phase`]: crate::machines::breaker::Phase
+pub use crate::machines::breaker::Phase as BreakerState;
 
 /// Outcome of asking the breaker for permission to attempt a call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,11 +109,7 @@ impl CircuitBreaker {
 
     /// The state an observer at `now` sees.
     pub fn state(&self, now: Instant) -> BreakerState {
-        match self.machine.phase(&self.state.lock(), self.ticks(now)) {
-            Phase::Closed => BreakerState::Closed,
-            Phase::Open => BreakerState::Open,
-            Phase::HalfOpen => BreakerState::HalfOpen,
-        }
+        self.machine.phase(&self.state.lock(), self.ticks(now))
     }
 
     /// Ask to attempt a call at `now`.

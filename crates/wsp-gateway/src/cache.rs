@@ -35,14 +35,7 @@ use wsp_simnet::{EventKey, EventWheel, Time};
 use wsp_xml::BufPool;
 
 /// FNV-1a, the same cheap stable hash the shard map places names with.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use wsp_registry::shard::fnv1a;
 
 /// TTLs and bounds for the three caches.
 #[derive(Debug, Clone)]

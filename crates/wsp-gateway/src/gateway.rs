@@ -35,7 +35,7 @@ use wsp_core::overload::{
     RETRY_AFTER_MS_HEADER, TENANT_HEADER, TENANT_SOAP_HEADER,
 };
 use wsp_core::{telemetry, KeyedAdmissionController, KeyedLoadShedPolicy, WspError};
-use wsp_http::{http_call_uri, Request, Response, Router, TcpServer};
+use wsp_http::{ConnectionPool, Request, Response, Router, TcpServer};
 use wsp_p2ps::{P2psMessage, PipeTcpConfig, PipeTcpServer};
 use wsp_registry::{RegistryError, ShardedUddiClient};
 use wsp_soap::{constants::CONTENT_TYPE, Envelope, Fault};
@@ -139,6 +139,9 @@ struct GwInner {
     caches: GatewayCaches,
     admission: KeyedAdmissionController,
     pools: BackendPools,
+    /// Keep-alive connections to the backends, shared by invokes and
+    /// WSDL fetches.
+    http: ConnectionPool,
     idempotent: IdempotentSet,
     backend_attempts: usize,
     revalidate_interval: Duration,
@@ -166,6 +169,7 @@ impl Gateway {
                 caches,
                 admission: KeyedAdmissionController::new(cfg.admission.clone()),
                 pools: BackendPools::default(),
+                http: ConnectionPool::new(),
                 idempotent: cfg.idempotent.clone(),
                 backend_attempts: cfg.backend_attempts,
                 revalidate_interval: cfg.revalidate_interval,
@@ -329,7 +333,7 @@ impl Gateway {
                 t.counter("gateway.backend.failovers").incr();
             }
             let request = Request::post("/", CONTENT_TYPE, raw.to_vec());
-            match http_call_uri(lease.endpoint(), request) {
+            match self.inner.http.call_uri(lease.endpoint(), request) {
                 Ok(response) => {
                     lease.succeed();
                     let content_type = response
@@ -378,7 +382,7 @@ impl Gateway {
                 break;
             };
             let uri = format!("{}?wsdl", lease.endpoint());
-            match http_call_uri(&uri, Request::get("/")) {
+            match self.inner.http.call_uri(&uri, Request::get("/")) {
                 Ok(response) if response.status == 200 => {
                     lease.succeed();
                     let body = String::from_utf8_lossy(&response.body).into_owned();

@@ -149,7 +149,7 @@ pub fn parse_request(input: &[u8]) -> Result<(Request, usize), HttpError> {
     }
     let headers = parse_headers(lines)?;
     let length = content_length(&headers)?;
-    let total = body_start + length;
+    let total = frame_end(body_start, length)?;
     if input.len() < total {
         return Err(HttpError::Incomplete);
     }
@@ -187,7 +187,7 @@ pub fn parse_response(input: &[u8]) -> Result<(Response, usize), HttpError> {
     let reason = parts.next().unwrap_or("").to_owned();
     let headers = parse_headers(lines)?;
     let length = content_length(&headers)?;
-    let total = body_start + length;
+    let total = frame_end(body_start, length)?;
     if input.len() < total {
         return Err(HttpError::Incomplete);
     }
@@ -277,7 +277,14 @@ pub fn frame_len(input: &[u8], body_start: usize) -> Result<usize, HttpError> {
             }
         }
     }
-    Ok(body_start + length.unwrap_or(0))
+    frame_end(body_start, length.unwrap_or(0))
+}
+
+/// `body_start + length`, rejecting a declared length that overflows.
+fn frame_end(body_start: usize, length: usize) -> Result<usize, HttpError> {
+    body_start
+        .checked_add(length)
+        .ok_or(HttpError::Malformed("Content-Length overflows"))
 }
 
 /// Locate the end of the header section. Returns the head slice (without
@@ -539,6 +546,19 @@ mod tests {
             frame_len(bad, body).unwrap_err(),
             HttpError::Malformed("conflicting Content-Length headers")
         );
+    }
+
+    /// `usize::MAX` as a declared length: the frame end must not wrap
+    /// (release) or panic (debug) in any of the three length sums.
+    #[test]
+    fn overflowing_content_length_is_malformed() {
+        let overflow = HttpError::Malformed("Content-Length overflows");
+        let request = b"POST /s HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\nx";
+        let response = b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nx";
+        assert_eq!(parse_request(request).unwrap_err(), overflow);
+        assert_eq!(parse_response(response).unwrap_err(), overflow);
+        let body = HeadScan::new().find(request).unwrap();
+        assert_eq!(frame_len(request, body).unwrap_err(), overflow);
     }
 
     #[test]

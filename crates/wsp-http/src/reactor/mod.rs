@@ -307,8 +307,7 @@ struct Done {
 
 fn worker_loop(rx: Receiver<Work>, tx: Sender<Done>, wake: Arc<EventFd>) {
     while let Ok(work) = rx.recv() {
-        // A panicking handler closes its connection without a response,
-        // mirroring the thread-per-connection behaviour.
+        // A panicking handler closes its connection without a response.
         let result = catch_unwind(AssertUnwindSafe(work.job)).unwrap_or(JobResult {
             bytes: Vec::new(),
             close: true,

@@ -6,20 +6,20 @@
 //! WSPeer `Server` node on first deployment, binds an ephemeral port and
 //! serves the shared [`Router`].
 //!
-//! Two transport cores sit behind one `TcpServer` API:
+//! One transport core serves every connection: the readiness-driven
+//! epoll reactor ([`crate::reactor`]). The reactor thread parses
+//! requests and flushes responses, a worker pool runs handlers, and
+//! every per-connection decision is a pure [`ConnMachine`] transition
+//! with header/body/idle deadlines on the shared [`EventWheel`]. One
+//! thread + workers serve tens of thousands of keep-alive connections
+//! (experiment E15). Lifecycle and slot accounting (overload and drain,
+//! E11) live in the pure [`DrainMachine`].
 //!
-//! * [`ServerMode::Reactor`] (default) — the readiness-driven epoll
-//!   core ([`crate::reactor`]): the reactor thread parses requests and
-//!   flushes responses, a worker pool runs handlers, and every
-//!   per-connection decision is a pure [`ConnMachine`] transition with
-//!   header/body/idle deadlines on the shared [`EventWheel`]. One
-//!   thread + workers serve tens of thousands of keep-alive
-//!   connections (experiment E15).
-//! * [`ServerMode::Threaded`] — the historical thread-per-connection
-//!   core, kept as the E15 A/B baseline and as a fallback.
+//! The client side has one request/response exchange,
+//! [`ConnectionPool`]'s: pooled keep-alive calls and the one-shot
+//! `http_call*` helpers both read their response through it.
 //!
-//! Both cores share the [`DrainMachine`] lifecycle, the codec, and the
-//! `Router`, so overload/drain behaviour (E11) is identical.
+//! [`EventWheel`]: wsp_simnet::EventWheel
 
 use crate::codec::{
     encode_request_into, encode_response, encode_response_into, frame_len, parse_request,
@@ -30,26 +30,15 @@ use crate::drain::{DrainEffect, DrainEvent, DrainMachine, DrainState};
 use crate::message::{Request, Response};
 use crate::reactor::{Admit, ConnProtocol, Io, JobResult, Listener, Reactor, ReactorConfig};
 use crate::router::Router;
+use crate::uri::HttpUri;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wsp_simnet::Machine;
 
-/// Which transport core serves the connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerMode {
-    /// Readiness-driven epoll reactor + worker pool (default).
-    Reactor,
-    /// One blocking thread per connection (the pre-reactor core; the
-    /// E15 baseline).
-    Threaded,
-}
-
 /// Tunables for [`TcpServer`]. `Default` keeps the historical deadlines
-/// (flat 10 s header/body read budgets, no connection cap) on the
-/// reactor core.
+/// (flat 10 s header/body read budgets, no connection cap).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Wall-clock budget for a connection to deliver a full request
@@ -61,13 +50,6 @@ pub struct ServerConfig {
     /// a drip-feeding client from holding a connection for the sum of
     /// both.
     pub body_read_deadline: Duration,
-    /// Threaded mode only: per-`read(2)` socket timeout bounding how
-    /// long a connection thread goes without observing the stop/drain
-    /// flags. The reactor observes them via its waker instead.
-    pub read_poll: Duration,
-    /// Threaded mode only: sleep between polls of the non-blocking
-    /// listener. The reactor's listener is readiness-driven.
-    pub accept_poll: Duration,
     /// Cap on concurrently served connections; accepts beyond it get an
     /// immediate `503` + `Retry-After` and are closed. `None` = no cap.
     pub max_connections: Option<usize>,
@@ -78,14 +60,11 @@ pub struct ServerConfig {
     /// rejections (rounded up to whole seconds on the wire, with the
     /// exact value in `X-WSP-Retry-After-Ms`).
     pub retry_after: Duration,
-    /// Transport core.
-    pub mode: ServerMode,
-    /// Reactor mode: handler worker threads (`0` = default of 4),
-    /// mirroring the dispatcher worker pool as the execution layer.
+    /// Handler worker threads (`0` = default of 4), mirroring the
+    /// dispatcher worker pool as the execution layer.
     pub workers: usize,
-    /// Reactor mode: reap keep-alive connections idle longer than
-    /// this. `None` (default) keeps them until the peer closes or the
-    /// server drains, matching the threaded core.
+    /// Reap keep-alive connections idle longer than this. `None`
+    /// (default) keeps them until the peer closes or the server drains.
     pub idle_keepalive_timeout: Option<Duration>,
 }
 
@@ -94,26 +73,22 @@ impl Default for ServerConfig {
         ServerConfig {
             header_read_deadline: Duration::from_secs(10),
             body_read_deadline: Duration::from_secs(10),
-            read_poll: Duration::from_millis(250),
-            accept_poll: Duration::from_millis(2),
             max_connections: None,
             drain_deadline: Duration::from_secs(5),
             retry_after: Duration::from_secs(1),
-            mode: ServerMode::Reactor,
             workers: 0,
             idle_keepalive_timeout: None,
         }
     }
 }
 
-/// Shared between the handle, the accept loop and connection threads.
+/// Shared between the handle and the reactor's connection hooks.
 ///
 /// All lifecycle and slot accounting lives in the pure
 /// [`DrainMachine`] ([`crate::drain`]); this shell feeds it events
 /// (accepts, connection exits, drain, stop) and executes the returned
 /// effects. Flag reads (`stopped`, drain latch, active count) are
-/// uncontended `Mutex` peeks on poll paths that tick at millisecond
-/// cadence, so the machine costs nothing observable.
+/// uncontended `Mutex` peeks, so the machine costs nothing observable.
 struct ServerState {
     config: ServerConfig,
     machine: DrainMachine,
@@ -132,8 +107,8 @@ impl ServerState {
         effects
     }
 
-    /// Hard stop observed: accept loop exits, connection threads bail
-    /// at the next read poll even mid-keep-alive.
+    /// Hard stop observed: the reactor closes every connection, even
+    /// mid-keep-alive.
     fn stopped(&self) -> bool {
         self.drain.lock().stopped()
     }
@@ -146,30 +121,10 @@ impl ServerState {
         self.drain.lock().drain_began()
     }
 
-    /// Live connection threads (accepted, not yet finished).
+    /// Live connections (accepted, not yet closed).
     fn active(&self) -> u64 {
         self.drain.lock().active
     }
-}
-
-/// Releases the connection's slot when its thread exits, panic
-/// included, so drain accounting can never leak a slot.
-struct ActiveGuard(Arc<ServerState>);
-
-impl Drop for ActiveGuard {
-    fn drop(&mut self) {
-        let effects = self.0.step(DrainEvent::ConnClosed);
-        debug_assert!(
-            !effects.contains(&DrainEffect::SlotUnderflow),
-            "connection closed without a held slot"
-        );
-    }
-}
-
-/// The running transport core behind a [`TcpServer`].
-enum Runtime {
-    Threaded(parking_lot::Mutex<Option<JoinHandle<()>>>),
-    Reactor(Reactor),
 }
 
 /// A running lightweight HTTP server.
@@ -177,7 +132,7 @@ pub struct TcpServer {
     addr: SocketAddr,
     router: Router,
     state: Arc<ServerState>,
-    runtime: Runtime,
+    reactor: Reactor,
 }
 
 impl TcpServer {
@@ -196,7 +151,6 @@ impl TcpServer {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let mode = config.mode;
         let workers = if config.workers == 0 {
             4
         } else {
@@ -211,36 +165,22 @@ impl TcpServer {
             machine,
             cv: parking_lot::Condvar::new(),
         });
-        let runtime = match mode {
-            ServerMode::Reactor => {
-                let hooks = Arc::new(HttpHooks {
-                    state: Arc::clone(&state),
-                    router: router.clone(),
-                });
-                let reactor = Reactor::spawn(
-                    vec![Listener {
-                        socket: listener,
-                        hooks,
-                    }],
-                    ReactorConfig { workers },
-                )?;
-                Runtime::Reactor(reactor)
-            }
-            ServerMode::Threaded => {
-                let accept_state = state.clone();
-                let accept_router = router.clone();
-                let accept_thread = std::thread::Builder::new()
-                    .name(format!("wsp-http-{}", addr.port()))
-                    .spawn(move || accept_loop(listener, accept_router, accept_state))
-                    .expect("spawn accept thread");
-                Runtime::Threaded(parking_lot::Mutex::new(Some(accept_thread)))
-            }
-        };
+        let hooks = Arc::new(HttpHooks {
+            state: Arc::clone(&state),
+            router: router.clone(),
+        });
+        let reactor = Reactor::spawn(
+            vec![Listener {
+                socket: listener,
+                hooks,
+            }],
+            ReactorConfig { workers },
+        )?;
         Ok(TcpServer {
             addr,
             router,
             state,
-            runtime,
+            reactor,
         })
     }
 
@@ -281,11 +221,9 @@ impl TcpServer {
     /// would.
     pub fn shutdown(&self) -> bool {
         self.state.step(DrainEvent::BeginDrain);
-        // Reactor mode: wake the loop so idle keep-alive connections
-        // observe the drain now, not at their next readiness event.
-        if let Runtime::Reactor(reactor) = &self.runtime {
-            reactor.wake();
-        }
+        // Wake the loop so idle keep-alive connections observe the
+        // drain now, not at their next readiness event.
+        self.reactor.wake();
         // Sleep on the drain condvar (signalled by every ConnClosed)
         // instead of spinning on 1 ms polls.
         let deadline = Instant::now() + self.state.config.drain_deadline;
@@ -307,9 +245,8 @@ impl TcpServer {
     }
 
     /// Abrupt stop: no drain. Live connections are cut off as soon as
-    /// the core observes the stop flag (immediately in reactor mode,
-    /// within one read poll in threaded mode); this is the only path
-    /// that drops admitted work.
+    /// the reactor observes the stop flag; this is the only path that
+    /// drops admitted work.
     pub fn shutdown_now(&self) {
         self.stop_accepting();
     }
@@ -318,17 +255,8 @@ impl TcpServer {
         // StopListening is the join below; a second Stop is a no-op and
         // returns no effects, so re-entry (shutdown → Drop) is safe.
         self.state.step(DrainEvent::Stop);
-        match &self.runtime {
-            Runtime::Threaded(thread) => {
-                if let Some(handle) = thread.lock().take() {
-                    let _ = handle.join();
-                }
-            }
-            Runtime::Reactor(reactor) => {
-                reactor.wake();
-                reactor.join();
-            }
-        }
+        self.reactor.wake();
+        self.reactor.join();
     }
 }
 
@@ -353,18 +281,8 @@ fn reject_bytes(config: &ServerConfig, why: &str) -> Vec<u8> {
     encode_response(&response)
 }
 
-/// Tell a client we will not serve it right now: a canned `503` with
-/// `Retry-After`, then close. Written under a short timeout so a slow
-/// reader cannot stall the accept loop (threaded mode; the reactor
-/// writes rejections under readiness like any other connection).
-fn reject_connection(stream: &mut TcpStream, config: &ServerConfig, why: &str) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.write_all(&reject_bytes(config, why));
-}
-
 /// Admission policy for the reactor core: one `Accept` event into the
-/// drain machine decides serve/reject, exactly as the threaded accept
-/// loop does.
+/// drain machine decides serve/reject.
 struct HttpHooks {
     state: Arc<ServerState>,
     router: Router,
@@ -640,184 +558,20 @@ impl ConnProtocol for HttpProto {
     }
 }
 
-fn accept_loop(listener: TcpListener, router: Router, state: Arc<ServerState>) {
-    while !state.stopped() {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                // One Accept event: the machine decides admit vs reject
-                // and, on admit, has already counted the slot.
-                match state.step(DrainEvent::Accept).first() {
-                    Some(DrainEffect::Serve) => {}
-                    Some(DrainEffect::RejectDraining) => {
-                        reject_connection(&mut stream, &state.config, "server draining");
-                        continue;
-                    }
-                    Some(DrainEffect::RejectAtCapacity) => {
-                        reject_connection(&mut stream, &state.config, "connection limit reached");
-                        continue;
-                    }
-                    // Stopped while this accept raced the flag: drop it.
-                    _ => continue,
-                }
-                let guard = ActiveGuard(state.clone());
-                let conn_router = router.clone();
-                // Connection threads are detached but observe the
-                // stop/drain flags, so server shutdown closes live
-                // connections. Thread-per-connection is fine at the
-                // scales WSPeer hosts (the paper's host is not a web
-                // farm), and the `max_connections` cap bounds it.
-                // A failed spawn drops the guard, releasing the slot.
-                let _ = std::thread::Builder::new()
-                    .name("wsp-http-conn".into())
-                    .spawn(move || {
-                        let _active = guard;
-                        serve_connection(stream, conn_router, &_active.0)
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(state.config.accept_poll);
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn serve_connection(mut stream: TcpStream, router: Router, state: &ServerState) {
-    let config = &state.config;
-    // Short read timeout so the loop can observe the stop/drain flags
-    // between reads; idle keep-alive connections die with the server.
-    let _ = stream.set_read_timeout(Some(config.read_poll));
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    // Keep-alive loop: serve requests on this connection until the
-    // client asks to close (or goes away / times out / we drain).
-    loop {
-        // Staged slow-client deadlines: the clock starts at the first
-        // byte of each request (an idle keep-alive connection is not on
-        // the clock), the head must land within `header_read_deadline`,
-        // and the body gets a separate `body_read_deadline` from the
-        // moment the head completes.
-        let mut started: Option<Instant> = if buf.is_empty() {
-            None
-        } else {
-            Some(Instant::now())
-        };
-        let mut head_done: Option<Instant> = None;
-        // Incremental terminator scan: each new chunk is scanned once,
-        // resuming where the last scan stopped, instead of rescanning
-        // the whole buffer per read (quadratic on dripped headers).
-        let mut scan = HeadScan::new();
-        let mut frame: Option<usize> = None;
-        let (request, used) = loop {
-            if state.stopped() {
-                return;
-            }
-            if started.is_none() && state.drain_began() {
-                return; // draining and no request in flight: close now
-            }
-            if frame.is_none() {
-                if let Some(body_start) = scan.find(&buf) {
-                    if head_done.is_none() {
-                        head_done = Some(Instant::now());
-                    }
-                    match frame_len(&buf, body_start) {
-                        Ok(total) => frame = Some(total),
-                        Err(_) => {
-                            let _ = stream.write_all(&encode_response(&Response::bad_request(
-                                "unparseable request",
-                            )));
-                            return;
-                        }
-                    }
-                }
-            }
-            if let Some(total) = frame {
-                if buf.len() >= total {
-                    match parse_request(&buf[..total]) {
-                        Ok(parsed) => break parsed,
-                        Err(_) => {
-                            let _ = stream.write_all(&encode_response(&Response::bad_request(
-                                "unparseable request",
-                            )));
-                            return;
-                        }
-                    }
-                }
-            }
-            if let Some(first_byte) = started {
-                let (stage_start, budget) = match head_done {
-                    Some(at) => (at, config.body_read_deadline),
-                    None => (first_byte, config.header_read_deadline),
-                };
-                if stage_start.elapsed() >= budget {
-                    let _ = stream.write_all(&encode_response(&Response::request_timeout(
-                        "request read deadline exceeded",
-                    )));
-                    return;
-                }
-            }
-            let mut chunk = [0u8; 4096];
-            match stream.read(&mut chunk) {
-                Ok(0) => return, // peer went away
-                Ok(n) => {
-                    if started.is_none() {
-                        started = Some(Instant::now());
-                    }
-                    buf.extend_from_slice(&chunk[..n]);
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue; // idle: re-check the flags
-                }
-                Err(_) => return,
-            }
-        };
-        buf.drain(..used);
-        let client_close = request
-            .headers
-            .get("connection")
-            .map(|v| v.eq_ignore_ascii_case("close"))
-            .unwrap_or(false);
-        let mut response = router.handle(&request);
-        // Re-check drain *after* handling: a drain that began while this
-        // request ran still closes the connection behind its response.
-        let close = client_close || state.drain_began();
-        response
-            .headers
-            .set("Connection", if close { "close" } else { "keep-alive" });
-        // Serialise into a pooled buffer, then hand both it and the
-        // response body (often itself pool-born, via the SOAP handlers)
-        // back for the next request on any connection.
-        let pool = wsp_xml::BufPool::global();
-        let mut wire = pool.take();
-        encode_response_into(&response, &mut wire);
-        let wrote = stream.write_all(&wire).is_ok();
-        pool.put(wire);
-        pool.put(std::mem::take(&mut response.body));
-        if !wrote {
-            return;
-        }
-        let _ = stream.flush();
-        if close {
-            return;
-        }
-    }
-}
-
 /// Default client-side read timeout for one-shot calls and pooled
 /// exchanges, matching the historical hard-coded 10 s.
 pub const DEFAULT_CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Issue one blocking request to `host:port`. Opens a fresh connection
-/// per call (`Connection: close` semantics).
+/// Issue one blocking request to `host:port` over a fresh connection
+/// (`Connection: close` semantics).
 pub fn http_call(host: &str, port: u16, request: Request) -> Result<Response, HttpError> {
     http_call_with_timeout(host, port, request, DEFAULT_CLIENT_TIMEOUT)
 }
 
 /// [`http_call`] with an explicit read timeout — callers propagating a
 /// deadline cap the wait at their remaining budget instead of the flat
-/// default.
+/// default. Runs [`ConnectionPool`]'s exchange on a fresh connection
+/// that is never pooled.
 pub fn http_call_with_timeout(
     host: &str,
     port: u16,
@@ -828,56 +582,28 @@ pub fn http_call_with_timeout(
     request.headers.set("Connection", "close");
     let mut stream =
         TcpStream::connect((host, port)).map_err(|e| HttpError::Connect(e.to_string()))?;
-    stream
-        .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-    let pool = wsp_xml::BufPool::global();
-    let mut wire = pool.take();
-    encode_request_into(&request, &mut wire);
-    let wrote = stream.write_all(&wire);
-    pool.put(wire);
-    pool.put(std::mem::take(&mut request.body));
-    wrote.map_err(|e| HttpError::Io(e.to_string()))?;
-    let mut buf = Vec::with_capacity(4096);
-    let (response, _) = read_response(&mut stream, &mut buf)?;
-    Ok(response)
+    let result = ConnectionPool::exchange(&mut stream, &request, timeout);
+    wsp_xml::BufPool::global().put(std::mem::take(&mut request.body));
+    result
+        .map(|(response, _)| response)
+        .map_err(ExchangeError::into_inner)
 }
 
-/// Read one complete response frame from `stream` into `buf`, scanning
-/// each chunk for the head terminator exactly once.
-fn read_response(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-) -> Result<(Response, usize), HttpError> {
-    let mut scan = HeadScan::new();
-    let mut frame: Option<usize> = None;
-    loop {
-        if frame.is_none() {
-            if let Some(body_start) = scan.find(buf) {
-                frame = Some(frame_len(buf, body_start)?);
-            }
-        }
-        if let Some(total) = frame {
-            if buf.len() >= total {
-                return parse_response(&buf[..total]);
-            }
-        }
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(HttpError::Incomplete),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(HttpError::Io(e.to_string())),
-        }
-    }
+/// Issue one request to an absolute `http://` URI over a fresh
+/// connection.
+pub fn http_call_uri(uri: &str, request: Request) -> Result<Response, HttpError> {
+    let (uri, request) = resolve_uri(uri, request)?;
+    http_call(&uri.host, uri.port, request)
 }
 
-/// Issue one request to an absolute `http://` URI.
-pub fn http_call_uri(uri: &str, mut request: Request) -> Result<Response, HttpError> {
-    let parsed = crate::uri::HttpUri::parse(uri).map_err(|e| HttpError::Connect(e.to_string()))?;
+/// Split an absolute URI into its authority and, when `request` targets
+/// `/`, the URI's own path and query.
+fn resolve_uri(uri: &str, mut request: Request) -> Result<(HttpUri, Request), HttpError> {
+    let parsed = HttpUri::parse(uri).map_err(|e| HttpError::Connect(e.to_string()))?;
     if request.target == "/" || request.target.is_empty() {
         request.target = parsed.target.clone();
     }
-    http_call(&parsed.host, parsed.port, request)
+    Ok((parsed, request))
 }
 
 /// Counter snapshot of a [`ConnectionPool`] (see
@@ -903,8 +629,8 @@ pub struct PoolStats {
 /// `Connection: close`, and a pooled socket that died while idle (the
 /// peer closed or reset it) is detected by a non-blocking peek and
 /// retired before any request bytes are written to it. A pooled
-/// connection that fails *mid-exchange* gets exactly one retry on a
-/// fresh connection.
+/// connection that fails *before the first response byte* gets exactly
+/// one retry on a fresh connection.
 ///
 /// This is the transport ablation of experiment E7: per-call connection
 /// setup dominates small-payload HTTP round trips, and pooling removes
@@ -912,7 +638,6 @@ pub struct PoolStats {
 pub struct ConnectionPool {
     idle: parking_lot::Mutex<std::collections::HashMap<String, Vec<TcpStream>>>,
     max_idle_per_host: usize,
-    call_timeout: Duration,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
     retired: std::sync::atomic::AtomicU64,
@@ -949,18 +674,11 @@ impl ConnectionPool {
         ConnectionPool {
             idle: parking_lot::Mutex::new(std::collections::HashMap::new()),
             max_idle_per_host: 4,
-            call_timeout: DEFAULT_CLIENT_TIMEOUT,
             hits: Default::default(),
             misses: Default::default(),
             retired: Default::default(),
             retries: Default::default(),
         }
-    }
-
-    /// Replace the per-exchange read timeout (default 10 s).
-    pub fn with_call_timeout(mut self, timeout: Duration) -> Self {
-        self.call_timeout = timeout.max(Duration::from_millis(1));
-        self
     }
 
     /// Number of idle pooled connections (all hosts).
@@ -993,7 +711,14 @@ impl ConnectionPool {
         }
     }
 
-    fn put(&self, authority: &str, stream: TcpStream) {
+    /// Return `stream` to the pool after an exchange, or retire it when
+    /// the response said it cannot carry another.
+    fn settle(&self, authority: &str, stream: TcpStream, reusable: bool) {
+        if !reusable {
+            self.retired
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            return;
+        }
         let mut idle = self.idle.lock();
         let conns = idle.entry(authority.to_owned()).or_default();
         if conns.len() < self.max_idle_per_host {
@@ -1001,8 +726,29 @@ impl ConnectionPool {
         }
     }
 
-    /// Issue a request over a pooled (or fresh) keep-alive connection.
-    pub fn call(&self, host: &str, port: u16, mut request: Request) -> Result<Response, HttpError> {
+    /// Issue a request over a pooled (or fresh) keep-alive connection,
+    /// waiting at most [`DEFAULT_CLIENT_TIMEOUT`] for the response.
+    pub fn call(&self, host: &str, port: u16, request: Request) -> Result<Response, HttpError> {
+        self.call_within(host, port, request, DEFAULT_CLIENT_TIMEOUT)
+    }
+
+    /// [`call`](ConnectionPool::call) to an absolute `http://` URI; a
+    /// request targeting `/` takes the URI's path and query.
+    pub fn call_uri(&self, uri: &str, request: Request) -> Result<Response, HttpError> {
+        let (uri, request) = resolve_uri(uri, request)?;
+        self.call(&uri.host, uri.port, request)
+    }
+
+    /// [`call`](ConnectionPool::call) with a per-call read timeout, so a
+    /// caller propagating a deadline never waits past its remaining
+    /// budget.
+    pub fn call_within(
+        &self,
+        host: &str,
+        port: u16,
+        mut request: Request,
+        timeout: Duration,
+    ) -> Result<Response, HttpError> {
         use std::sync::atomic::Ordering::Relaxed;
         request.headers.set("Host", format!("{host}:{port}"));
         request.headers.set("Connection", "keep-alive");
@@ -1014,10 +760,11 @@ impl ConnectionPool {
         // class). Once the server has started answering it may already
         // have executed the request, and resending would duplicate a
         // possibly non-idempotent call: those failures surface instead.
-        if let Some(stream) = self.take(&authority) {
-            match self.exchange(stream, &authority, &request) {
-                Ok(response) => {
+        if let Some(mut stream) = self.take(&authority) {
+            match ConnectionPool::exchange(&mut stream, &request, timeout) {
+                Ok((response, reusable)) => {
                     self.hits.fetch_add(1, Relaxed);
+                    self.settle(&authority, stream, reusable);
                     return Ok(response);
                 }
                 Err(ExchangeError::Retriable(_)) => {
@@ -1031,20 +778,28 @@ impl ConnectionPool {
             }
         }
         self.misses.fetch_add(1, Relaxed);
-        let stream =
+        let mut stream =
             TcpStream::connect((host, port)).map_err(|e| HttpError::Connect(e.to_string()))?;
-        self.exchange(stream, &authority, &request)
-            .map_err(ExchangeError::into_inner)
+        let (response, reusable) = ConnectionPool::exchange(&mut stream, &request, timeout)
+            .map_err(ExchangeError::into_inner)?;
+        self.settle(&authority, stream, reusable);
+        Ok(response)
     }
 
+    /// The client's one request/response exchange: write `request`,
+    /// then read exactly one response frame, waiting at most `timeout`
+    /// per read. Returns the response and whether the connection may
+    /// carry another exchange. HTTP/1.1 defaults to persistent
+    /// connections: an absent `Connection` header means reuse unless
+    /// the peer speaks HTTP/1.0 (whose default is close). Explicit
+    /// `close` — or any unrecognised token — retires it.
     fn exchange(
-        &self,
-        mut stream: TcpStream,
-        authority: &str,
+        stream: &mut TcpStream,
         request: &Request,
-    ) -> Result<Response, ExchangeError> {
+        timeout: Duration,
+    ) -> Result<(Response, bool), ExchangeError> {
         stream
-            .set_read_timeout(Some(self.call_timeout))
+            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))
             .map_err(|e| ExchangeError::Fatal(HttpError::Io(e.to_string())))?;
         let buf_pool = wsp_xml::BufPool::global();
         let mut wire = buf_pool.take();
@@ -1067,8 +822,11 @@ impl ConnectionPool {
                 if buf.len() >= total {
                     let (response, _) =
                         parse_response(&buf[..total]).map_err(ExchangeError::Fatal)?;
-                    self.settle(authority, stream, &buf, &response);
-                    return Ok(response);
+                    let reusable = match response.headers.get("connection") {
+                        Some(v) => v.eq_ignore_ascii_case("keep-alive"),
+                        None => !buf.starts_with(b"HTTP/1.0"),
+                    };
+                    return Ok((response, reusable));
                 }
             }
             let mut chunk = [0u8; 4096];
@@ -1087,24 +845,6 @@ impl ConnectionPool {
                 // pre-execution; surface them.
                 Err(e) => return Err(ExchangeError::Fatal(HttpError::Io(e.to_string()))),
             }
-        }
-    }
-
-    /// Decide whether `stream` goes back to the pool. HTTP/1.1 defaults
-    /// to persistent connections: an absent `Connection` header means
-    /// reuse unless the peer speaks HTTP/1.0 (whose default is close).
-    /// Explicit `close` — or any unrecognised token — retires it.
-    fn settle(&self, authority: &str, stream: TcpStream, raw: &[u8], response: &Response) {
-        let reuse = match response.headers.get("connection") {
-            Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
-            Some(_) => false,
-            None => !raw.starts_with(b"HTTP/1.0"),
-        };
-        if reuse {
-            self.put(authority, stream);
-        } else {
-            self.retired
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
     }
 }
@@ -1328,7 +1068,6 @@ mod tests {
         );
         let config = ServerConfig {
             header_read_deadline: Duration::from_millis(100),
-            read_poll: Duration::from_millis(10),
             ..ServerConfig::default()
         };
         let server = TcpServer::launch_with(0, router, config).unwrap();
@@ -1362,7 +1101,6 @@ mod tests {
         let config = ServerConfig {
             header_read_deadline: Duration::from_secs(5),
             body_read_deadline: Duration::from_millis(100),
-            read_poll: Duration::from_millis(10),
             ..ServerConfig::default()
         };
         let server = TcpServer::launch_with(0, router, config).unwrap();
@@ -1385,6 +1123,29 @@ mod tests {
         }
         let (response, _) = parse_response(&buf).expect("server answered before closing");
         assert_eq!(response.status, 408);
+        server.shutdown();
+    }
+
+    /// A declared length that overflows `body_start + length` is a bad
+    /// request, not a reactor-thread panic: the next connection is
+    /// still served.
+    #[test]
+    fn overflowing_content_length_gets_400_and_server_survives() {
+        let server = test_server();
+        let mut stream = TcpStream::connect(("127.0.0.1", server.port())).unwrap();
+        stream
+            .write_all(b"POST /Echo HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\n")
+            .unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut buf = Vec::new();
+        let _ = stream.read_to_end(&mut buf);
+        let (response, _) = parse_response(&buf).expect("server answered before closing");
+        assert_eq!(response.status, 400);
+        let request = Request::post("/Echo", "text/plain", "still here");
+        let response = http_call("127.0.0.1", server.port(), request).unwrap();
+        assert_eq!(response.body_str(), "still here");
         server.shutdown();
     }
 
@@ -1616,8 +1377,7 @@ mod pool_tests {
         let port = server.port();
         pool.call("127.0.0.1", port, Request::get("/Echo")).unwrap();
         assert_eq!(pool.idle_count(), 1);
-        // Restarting the server kills the pooled connection (connection
-        // threads observe the stop flag within their read timeout).
+        // Restarting the server kills the pooled connection.
         server.shutdown();
         std::thread::sleep(Duration::from_millis(400));
         let router = Router::new();
@@ -1722,13 +1482,16 @@ mod pool_tests {
         let mut request = Request::get("/Echo");
         request.headers.set("Host", format!("127.0.0.1:{port}"));
         request.headers.set("Connection", "close");
-        let stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
-        let response = pool.exchange(stream, &format!("127.0.0.1:{port}"), &request);
+        let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        let (response, reusable) =
+            ConnectionPool::exchange(&mut stream, &request, DEFAULT_CLIENT_TIMEOUT).unwrap();
         assert_eq!(
-            response.unwrap().headers.get("connection"),
+            response.headers.get("connection"),
             Some("close"),
             "server honoured the close request"
         );
+        assert!(!reusable);
+        pool.settle(&format!("127.0.0.1:{port}"), stream, reusable);
         assert_eq!(pool.idle_count(), 0, "closed connection must not pool");
         assert_eq!(pool.stats().retired, 1);
         server.shutdown();
@@ -1876,9 +1639,13 @@ mod pool_tests {
             // request count instead of a client-side connect error.
             vec!["HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok"],
         ]);
-        let pool = ConnectionPool::new().with_call_timeout(Duration::from_millis(500));
-        pool.call("127.0.0.1", port, Request::get("/")).unwrap();
-        let err = pool.call("127.0.0.1", port, Request::get("/")).unwrap_err();
+        let pool = ConnectionPool::new();
+        let timeout = Duration::from_millis(500);
+        pool.call_within("127.0.0.1", port, Request::get("/"), timeout)
+            .unwrap();
+        let err = pool
+            .call_within("127.0.0.1", port, Request::get("/"), timeout)
+            .unwrap_err();
         assert!(
             matches!(err, HttpError::Incomplete | HttpError::Io(_)),
             "mid-response death must surface: {err:?}"
@@ -1894,6 +1661,18 @@ mod pool_tests {
     }
 
     #[test]
+    fn overflowing_response_length_is_an_error_not_a_panic() {
+        const HEAD: &str = "HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nx";
+        let (port, _requests, join) = scripted_server(vec![vec![HEAD], vec![HEAD]]);
+        let pool = ConnectionPool::new();
+        let pooled = pool.call("127.0.0.1", port, Request::get("/")).unwrap_err();
+        assert!(matches!(pooled, HttpError::Malformed(_)), "{pooled:?}");
+        let fresh = http_call("127.0.0.1", port, Request::get("/")).unwrap_err();
+        assert!(matches!(fresh, HttpError::Malformed(_)), "{fresh:?}");
+        drop(join);
+    }
+
+    #[test]
     fn pool_retries_when_pooled_connection_dies_before_any_response_byte() {
         // The pooled socket is closed server-side after the first
         // exchange; the second write (or its first read) fails before
@@ -1902,12 +1681,16 @@ mod pool_tests {
             vec!["HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok"],
             vec!["HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok"],
         ]);
-        let pool = ConnectionPool::new().with_call_timeout(Duration::from_millis(500));
-        pool.call("127.0.0.1", port, Request::get("/")).unwrap();
+        let pool = ConnectionPool::new();
+        let timeout = Duration::from_millis(500);
+        pool.call_within("127.0.0.1", port, Request::get("/"), timeout)
+            .unwrap();
         // Let the server-side close land so the liveness probe (or the
         // exchange) sees a dead socket rather than a live one.
         std::thread::sleep(Duration::from_millis(100));
-        let response = pool.call("127.0.0.1", port, Request::get("/")).unwrap();
+        let response = pool
+            .call_within("127.0.0.1", port, Request::get("/"), timeout)
+            .unwrap();
         assert_eq!(response.body_str(), "ok");
         assert_eq!(requests.load(std::sync::atomic::Ordering::SeqCst), 2);
         drop(join);

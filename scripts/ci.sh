@@ -65,13 +65,14 @@ WSP_FAULT_SEED=7 timeout 300 cargo test -q --release -p wsp-integration-tests --
 echo "==> E14 artifact (BENCH_E14.json)"
 cargo run -q --release -p wsp-bench --bin e14 -- quick
 
-# Reactor core (PR 8): the default transport is now the epoll reactor,
-# so every socket-level suite above already ran on it. Re-pin the E11
+# Reactor core: the epoll reactor is the only server core, so
+# every socket-level suite above already ran on it. Re-pin the E11
 # admission/deadline/drain suite explicitly under both fixed seeds in
 # release (the reactor's timer wheel drives the staged deadlines), then
 # emit the E15 connection-density artifact in quick mode (2 000 held
-# keep-alive connections vs a 200-thread baseline; the full 10k-conn
-# table lives in EXPERIMENTS.md §E15). The e15 bin exits nonzero unless
+# keep-alive connections vs a 200-thread baseline private to the e15
+# module; the full 10k-conn table lives in EXPERIMENTS.md §E15). The
+# e15 bin exits nonzero unless
 # the reactor holds every target connection AND is cheaper per
 # connection than the threaded baseline, so this stage is a gate, not
 # just an artifact.
@@ -130,6 +131,14 @@ WSP_FAULT_SEED=7 timeout 300 cargo test -q --release -p wsp-integration-tests --
 
 echo "==> E17 artifact (BENCH_E17.json, quick)"
 timeout 300 cargo run -q --release -p wsp-bench --bin e17 -- quick
+
+# Repo benchmark: perfbench/ is a Cargo workspace of its own with path
+# dependencies on the crates, so the workspace build above never
+# compiles it. Build and test it here, so a public-API change that
+# breaks the benchmark fails CI instead of the next benchmark run.
+echo "==> perfbench build + tests (release)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

@@ -8,11 +8,24 @@
 //! or per-buffer churn fails here, not in a benchmark someone has to
 //! remember to read.
 
+use std::sync::{Mutex, MutexGuard};
 use wsp_bench::alloc_count::{self, CountingAllocator};
 use wsp_bench::e12;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// The allocation counter is process-global and the tests share the
+/// global `BufPool`, so a test running in parallel would land its
+/// allocations in another's measuring window. Every measuring test
+/// holds this lock for its whole body.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measuring() -> MutexGuard<'static, ()> {
+    MEASURING
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Ceilings over the release-mode measurements (55 / 200 / 1463 as of
 /// PR 5) with ~30% headroom for allocator-neutral refactors. If a
@@ -27,6 +40,7 @@ const CEILINGS: [(&str, f64); 3] = [
 
 #[test]
 fn round_trip_allocations_stay_under_ceiling_and_2x_better_than_legacy() {
+    let _serial = measuring();
     assert!(
         alloc_count::is_installed(),
         "counting allocator must be live in this binary"
@@ -57,6 +71,7 @@ fn round_trip_allocations_stay_under_ceiling_and_2x_better_than_legacy() {
 /// output, and there are no per-tag temporaries left.
 #[test]
 fn warm_single_pass_writer_is_allocation_free() {
+    let _serial = measuring();
     let (_, envelope) = e12::corpus().swap_remove(1);
     let root = envelope.to_element();
     let config = wsp_xml::WriterConfig::wire()
@@ -89,6 +104,7 @@ fn warm_single_pass_writer_is_allocation_free() {
 /// allocating again on top of it.
 #[test]
 fn warm_pooled_envelope_encode_pays_only_the_staging_tree() {
+    let _serial = measuring();
     let (_, envelope) = e12::corpus().swap_remove(0);
     let pool = wsp_xml::BufPool::global();
     for _ in 0..50 {

@@ -149,6 +149,47 @@ fn expired_deadline_is_rejected_before_the_handler_runs() {
     assert_eq!(naps.load(Ordering::SeqCst), 1);
 }
 
+/// The keep-alive binding caps its pooled read at the call's remaining
+/// budget: with 100 ms left against a handler that sleeps 2 s, the
+/// invoke fails as a transport error at the deadline instead of
+/// waiting out the handler.
+#[test]
+fn keep_alive_invoke_gives_up_at_its_deadline() {
+    let binding = HttpUddiBinding::new(
+        wsp_uddi::UddiClient::direct(wsp_uddi::Registry::new()),
+        EventBus::new(),
+        HttpUddiConfig {
+            keep_alive: true,
+            ..HttpUddiConfig::default()
+        },
+    );
+    let peer = Peer::with_binding(&binding);
+    let naps = Arc::new(AtomicU32::new(0));
+    peer.server()
+        .deploy_and_publish(
+            nap_descriptor("PooledNap"),
+            nap_handler(naps, Duration::from_secs(2)),
+        )
+        .unwrap();
+    let service = peer
+        .client()
+        .locate_one(&ServiceQuery::by_name("PooledNap"))
+        .unwrap();
+    let started = Instant::now();
+    let outcome = peer.client().invoke_with_policy(
+        &service,
+        "nap",
+        &[],
+        ResiliencePolicy::none().with_deadline(Duration::from_millis(100)),
+    );
+    let took = started.elapsed();
+    assert!(
+        matches!(outcome, Err(WspError::Transport(_))),
+        "expected a transport timeout, got {outcome:?}"
+    );
+    assert!(took < Duration::from_secs(1), "invoke took {took:?}");
+}
+
 /// Over P2PS the shed takes the form of a SOAP busy fault on the return
 /// pipe; the consumer's invoker decodes it back into `Overloaded` with
 /// the provider's hint instead of a generic fault.
