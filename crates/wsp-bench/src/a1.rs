@@ -104,6 +104,7 @@ mod tests {
 
     #[test]
     fn starved_ttl_fails_where_generous_ttl_succeeds() {
+        let _serial = crate::serial_guard();
         // Degree 1 = ring of 30 rendezvous: diameter 15. TTL 2 cannot
         // reach most of it; TTL 16+ would. We compare 2 vs 7.
         let starved = run(1, 2, 9);
@@ -117,6 +118,7 @@ mod tests {
 
     #[test]
     fn single_cell_produces_sane_numbers() {
+        let _serial = crate::serial_guard();
         let row = run(4, 7, 9);
         assert!(row.mean_latency_ms >= 0.0);
         assert!(row.msgs_per_peer > 0.0);

@@ -101,6 +101,7 @@ mod tests {
 
     #[test]
     fn refresh_beats_publish_once_under_churn() {
+        let _serial = crate::serial_guard();
         // Without refresh the advert ages out of every cache within its
         // 60s TTL and late queries all fail; aggressive refresh keeps
         // the mesh warm.

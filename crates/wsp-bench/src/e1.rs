@@ -131,6 +131,7 @@ mod tests {
 
     #[test]
     fn throughput_saturates_and_latency_explodes() {
+        let _serial = crate::serial_guard();
         let light = run(1, 5, 5, 1, 7);
         let heavy = run(64, 5, 5, 1, 7);
         // Capacity is 1000ms/5ms = 200 rps. One zero-think-time client
@@ -150,6 +151,7 @@ mod tests {
 
     #[test]
     fn more_workers_raise_capacity() {
+        let _serial = crate::serial_guard();
         let one = run(64, 5, 5, 1, 7);
         let four = run(64, 5, 5, 4, 7);
         assert!(
@@ -160,6 +162,7 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
+        let _serial = crate::serial_guard();
         let a = run(8, 3, 5, 1, 42);
         let b = run(8, 3, 5, 1, 42);
         assert_eq!(a.completed, b.completed);

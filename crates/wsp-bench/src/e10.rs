@@ -269,6 +269,7 @@ mod tests {
 
     #[test]
     fn overhead_rows_have_both_modes() {
+        let _serial = crate::serial_guard();
         let rows = overhead(50);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].mode, "disabled");
@@ -278,6 +279,7 @@ mod tests {
 
     #[test]
     fn reconstruction_recovers_the_full_story() {
+        let _serial = crate::serial_guard();
         let r = reconstruction();
         assert!(r.spans >= 3, "{r:?}");
         assert!(r.stages.contains(&"resilience.attempt_failed"), "{r:?}");

@@ -206,11 +206,14 @@ pub fn shed_turnaround(probes: usize) -> E11Shed {
 /// mid-shutdown latecomer.
 fn drain_once(graceful: bool) -> E11Drain {
     let served = Arc::new(AtomicUsize::new(0));
+    let started = Arc::new(AtomicUsize::new(0));
     let router = Router::new();
     let handler_served = served.clone();
+    let handler_started = started.clone();
     router.deploy(
         "Slow",
         Arc::new(move |_request: &Request| {
+            handler_started.fetch_add(1, Ordering::SeqCst);
             std::thread::sleep(Duration::from_millis(100));
             handler_served.fetch_add(1, Ordering::SeqCst);
             Response::ok("text/plain", "done")
@@ -225,8 +228,12 @@ fn drain_once(graceful: bool) -> E11Drain {
     let workers: Vec<_> = (0..IN_FLIGHT)
         .map(|_| std::thread::spawn(move || http_call("127.0.0.1", port, Request::get("/Slow"))))
         .collect();
+    // Stop only once every request is inside its handler: an accepted
+    // connection whose request has not yet been read is not admitted
+    // work, and a drain rightly closes it.
     let wait_started = Instant::now();
-    while server.active_connections() < IN_FLIGHT && wait_started.elapsed() < Duration::from_secs(2)
+    while started.load(Ordering::SeqCst) < IN_FLIGHT
+        && wait_started.elapsed() < Duration::from_secs(10)
     {
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -290,6 +297,7 @@ mod tests {
 
     #[test]
     fn shedding_goodput_at_least_matches_unprotected_at_4x() {
+        let _serial = crate::serial_guard();
         // The E11 acceptance shape: goodput with shedding ≥ without.
         let rows = goodput_pair(40, 2005);
         let (unprotected, shedding) = (&rows[0], &rows[1]);
@@ -307,6 +315,7 @@ mod tests {
 
     #[test]
     fn sheds_answer_fast_and_carry_the_hint() {
+        let _serial = crate::serial_guard();
         // The acceptance bound: shed p99 under 10 ms on loopback. A
         // single pass is scheduler-noise dominated when the whole
         // workspace's test binaries run concurrently, so take the best
@@ -325,6 +334,7 @@ mod tests {
 
     #[test]
     fn graceful_drain_completes_all_admitted_work() {
+        let _serial = crate::serial_guard();
         let row = drain_once(true);
         assert!(row.drained, "{row:?}");
         assert_eq!(row.completed, 4, "{row:?}");

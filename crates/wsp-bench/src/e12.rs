@@ -396,7 +396,7 @@ pub fn allocations(rounds: u64) -> Vec<E12Allocs> {
 /// on E7's real-socket rig — the row EXPERIMENTS.md compares against
 /// E7's pre-PR-5 numbers for the no-regression criterion.
 pub fn invoke_rows(calls: usize) -> Vec<E7Row> {
-    vec![e7::http_rtt(1024, calls), e7::http_pooled_rtt(1024, calls)]
+    e7::http_rtt_pair(1024, calls).into()
 }
 
 #[cfg(test)]
@@ -405,6 +405,7 @@ mod tests {
 
     #[test]
     fn legacy_and_fast_stacks_agree_bytewise() {
+        let _serial = crate::serial_guard();
         for (name, envelope) in corpus() {
             let lenv = LegacyEnvelope::from_current(&envelope);
             let old = legacy_encode(&lenv);
@@ -421,6 +422,7 @@ mod tests {
 
     #[test]
     fn latency_rows_cover_both_modes() {
+        let _serial = crate::serial_guard();
         let rows = latency(30);
         assert_eq!(rows.len(), corpus().len() * 2);
         for pair in rows.chunks(2) {
@@ -433,6 +435,7 @@ mod tests {
 
     #[test]
     fn allocation_rows_report_uncounted_without_allocator() {
+        let _serial = crate::serial_guard();
         // The lib test binary does not install the counting allocator,
         // so the rows must say so rather than claim a 0-alloc miracle.
         let rows = allocations(10);

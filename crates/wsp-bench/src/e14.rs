@@ -42,8 +42,18 @@ use wsp_core::machines::breaker::{
 };
 use wsp_simnet::wheel::EventKey;
 use wsp_simnet::{
-    ChurnModel, Dur, LinkSpec, NodeId, PeerCtx, PeerEvent, PeerModel, PeerMsg, PeerSim, Time,
+    ChurnModel, Dur, LinkSpec, Machine, NodeId, PeerCtx, PeerEvent, PeerModel, PeerMsg, PeerSim,
+    Time,
 };
+
+/// Every E14 provider admits anonymous traffic: one tenant, no queue.
+const ADMIT: AdmissionEvent = AdmissionEvent::Admit {
+    tenant: 0,
+    queue_depth: 0,
+    deadline_expired: false,
+    over_watermark: false,
+};
+const RELEASE: AdmissionEvent = AdmissionEvent::Release { tenant: 0 };
 
 /// The one message vocabulary shared by all E14 scenarios. `Copy` and
 /// word-sized so a million in-flight messages stay cheap.
@@ -179,6 +189,8 @@ struct Client {
 pub struct FlashCrowd {
     breaker: BreakerMachine,
     admission: AdmissionMachine,
+    /// `admission.guaranteed()`, computed once.
+    shares: Vec<u64>,
     provider: NodeId,
     first_rdv: NodeId,
     n_rdv: u32,
@@ -311,17 +323,11 @@ impl FlashCrowd {
                 from,
                 msg: Msg::Invoke,
             } => {
-                let effects = wsp_simnet::step_mut(
-                    &self.admission,
-                    &mut self.admission_state,
-                    &AdmissionEvent::Admit {
-                        queue_depth: 0,
-                        deadline_expired: false,
-                        over_watermark: false,
-                    },
-                );
-                match effects[0] {
-                    AdmissionEffect::Admitted => {
+                match self
+                    .admission
+                    .step_in_place(&self.shares, &mut self.admission_state, &ADMIT)
+                {
+                    Some(AdmissionEffect::Admitted { .. }) => {
                         ctx.count("e14.admitted");
                         ctx.set_timer(self.service, TAG_SERVICE | from as u64);
                     }
@@ -332,11 +338,8 @@ impl FlashCrowd {
                 }
             }
             PeerEvent::Timer { tag } if tag_kind(tag) == TAG_SERVICE => {
-                wsp_simnet::step_mut(
-                    &self.admission,
-                    &mut self.admission_state,
-                    &AdmissionEvent::Release,
-                );
+                self.admission
+                    .step_in_place(&self.shares, &mut self.admission_state, &RELEASE);
                 ctx.send(tag_arg(tag) as NodeId, Msg::InvokeOk);
             }
             _ => {}
@@ -375,21 +378,20 @@ pub fn flash_crowd(seed: u64, clients: u32) -> E14Row {
     const RAMP: Dur = Dur::secs(2);
     let started = Instant::now();
 
+    let admission = AdmissionMachine::single_tenant(256, u64::MAX);
     let model = FlashCrowd {
         breaker: BreakerMachine {
             failure_threshold: 3,
             cooldown: 400, // ms
         },
-        admission: AdmissionMachine {
-            max_in_flight: 256,
-            max_queue_depth: u64::MAX,
-        },
+        shares: admission.guaranteed(),
+        admission_state: admission.initial(),
+        admission,
         provider: 0,
         first_rdv: 1,
         n_rdv: N_RDV,
         first_client: 1 + N_RDV,
         clients: Vec::new(),
-        admission_state: AdmissionState::default(),
         service: Dur::millis(2),
         timeout: Dur::millis(800),
         completed: 0,
@@ -647,7 +649,7 @@ pub fn partition_heal(seed: u64, peers: u32) -> E14Row {
 // Straggler sweep
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Provider {
     admission: AdmissionState,
     service: Dur,
@@ -658,6 +660,8 @@ struct Provider {
 pub struct Stragglers {
     breaker: BreakerMachine,
     admission: AdmissionMachine,
+    /// `admission.guaranteed()`, computed once.
+    shares: Vec<u64>,
     providers: Vec<Provider>,
     first_client: NodeId,
     clients: Vec<Client>,
@@ -789,17 +793,11 @@ impl PeerModel for Stragglers {
                     msg: Msg::Invoke,
                 } => {
                     let p = &mut self.providers[peer as usize];
-                    let effects = wsp_simnet::step_mut(
-                        &self.admission,
-                        &mut p.admission,
-                        &AdmissionEvent::Admit {
-                            queue_depth: 0,
-                            deadline_expired: false,
-                            over_watermark: false,
-                        },
-                    );
-                    match effects[0] {
-                        AdmissionEffect::Admitted => {
+                    match self
+                        .admission
+                        .step_in_place(&self.shares, &mut p.admission, &ADMIT)
+                    {
+                        Some(AdmissionEffect::Admitted { .. }) => {
                             ctx.count("e14.admitted");
                             let service = p.service;
                             ctx.set_timer(service, TAG_SERVICE | from as u64);
@@ -811,10 +809,10 @@ impl PeerModel for Stragglers {
                     }
                 }
                 PeerEvent::Timer { tag } if tag_kind(tag) == TAG_SERVICE => {
-                    wsp_simnet::step_mut(
-                        &self.admission,
+                    self.admission.step_in_place(
+                        &self.shares,
                         &mut self.providers[peer as usize].admission,
-                        &AdmissionEvent::Release,
+                        &RELEASE,
                     );
                     ctx.send(tag_arg(tag) as NodeId, Msg::InvokeOk);
                 }
@@ -834,15 +832,15 @@ pub fn straggler_sweep(seed: u64, clients: u32, providers: u32, slow_permille: u
     let timeout = Dur::millis(400);
     let n_slow = (providers as u64 * slow_permille as u64 / 1000) as u32;
 
+    let admission = AdmissionMachine::single_tenant(64, u64::MAX);
+    let idle = admission.initial();
     let model = Stragglers {
         breaker: BreakerMachine {
             failure_threshold: 3,
             cooldown: 300, // ms
         },
-        admission: AdmissionMachine {
-            max_in_flight: 64,
-            max_queue_depth: u64::MAX,
-        },
+        shares: admission.guaranteed(),
+        admission,
         providers: Vec::new(),
         first_client: providers,
         clients: Vec::new(),
@@ -866,7 +864,7 @@ pub fn straggler_sweep(seed: u64, clients: u32, providers: u32, slow_permille: u
             Dur::millis(2)
         };
         sim.model_mut().providers.push(Provider {
-            admission: AdmissionState::default(),
+            admission: idle.clone(),
             service,
         });
     }
@@ -909,6 +907,7 @@ mod tests {
 
     #[test]
     fn flash_crowd_small_is_deterministic_and_mostly_completes() {
+        let _serial = crate::serial_guard();
         let a = flash_crowd(7, 2_000);
         let b = flash_crowd(7, 2_000);
         assert_eq!(a.digest, b.digest, "same seed, same digest");
@@ -924,6 +923,7 @@ mod tests {
 
     #[test]
     fn partition_trips_then_heals() {
+        let _serial = crate::serial_guard();
         let sim = partition_heal_sim(7, 200);
         assert!(
             sim.metrics().counter("e14.trips") > 0,
@@ -944,6 +944,7 @@ mod tests {
 
     #[test]
     fn stragglers_raise_tail_latency() {
+        let _serial = crate::serial_guard();
         let clean = straggler_sweep(7, 2_000, 20, 0);
         let slow = straggler_sweep(7, 2_000, 20, 300);
         assert!(clean.completed as f64 >= 0.95 * 2_000.0);

@@ -272,7 +272,7 @@ pub fn goodput(
 /// mediation path; hot requests hammer from `flood_threads` threads and
 /// are mostly shed at the admission edge.
 pub fn isolation(seed: u64, samples: usize, flood_threads: usize, work: Duration) -> IsolationRow {
-    use wsp_core::KeyedLoadShedPolicy;
+    use wsp_core::LoadShedPolicy;
     let fx = fixture("Tenants", work);
     let gw = gateway_for(
         &fx,
@@ -280,7 +280,7 @@ pub fn isolation(seed: u64, samples: usize, flood_threads: usize, work: Duration
         // exactly one concurrent permit: the flood's second in-flight
         // request sheds while the cold tenant's share stays reserved.
         GatewayConfig::default().with_admission(
-            KeyedLoadShedPolicy::fair(2)
+            LoadShedPolicy::fair(2)
                 .with_weight("hot", 1)
                 .with_weight("cold", 1)
                 .with_counter_prefix("gateway.tenant"),
@@ -394,6 +394,7 @@ mod tests {
 
     #[test]
     fn gateway_goodput_beats_direct_on_a_cache_friendly_mix() {
+        let _serial = crate::serial_guard();
         let rows = goodput(2005, 2, 40, 4, Duration::from_millis(2));
         let direct = rows.iter().find(|r| r.mode == "direct").unwrap();
         let gateway = rows.iter().find(|r| r.mode == "gateway").unwrap();
@@ -414,6 +415,7 @@ mod tests {
 
     #[test]
     fn hot_flood_cannot_push_cold_p99_past_twice_the_baseline() {
+        let _serial = crate::serial_guard();
         let row = isolation(2005, 60, 2, Duration::from_millis(1));
         assert!(row.hot_shed > 0, "the flood must actually be shed");
         assert!(
@@ -427,6 +429,7 @@ mod tests {
 
     #[test]
     fn hit_ratio_grows_with_the_ttl() {
+        let _serial = crate::serial_guard();
         let rows = ttl_sweep(&[1, 50, 400], 40, Duration::from_millis(2));
         assert!(
             rows.last().unwrap().hit_ratio >= 0.8,

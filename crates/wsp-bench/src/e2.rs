@@ -103,6 +103,7 @@ mod tests {
 
     #[test]
     fn discovery_reliable_at_small_and_medium_scale() {
+        let _serial = crate::serial_guard();
         for (groups, size) in [(4, 8), (16, 8)] {
             let row = run(groups, size, 10, 3);
             assert!(row.success_rate >= 0.9, "{row:?}");
@@ -111,6 +112,7 @@ mod tests {
 
     #[test]
     fn per_peer_load_stays_flat_as_network_grows() {
+        let _serial = crate::serial_guard();
         let small = run(5, 10, 10, 3);
         let large = run(40, 10, 10, 3);
         // 8x the peers must not mean 8x the per-peer load; allow 3x.
@@ -122,6 +124,7 @@ mod tests {
 
     #[test]
     fn latency_grows_sublinearly() {
+        let _serial = crate::serial_guard();
         let small = run(5, 10, 10, 3);
         let large = run(40, 10, 10, 3);
         assert!(

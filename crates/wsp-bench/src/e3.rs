@@ -200,6 +200,7 @@ mod tests {
 
     #[test]
     fn both_worlds_work_without_churn() {
+        let _serial = crate::serial_guard();
         let row = run(1.0, 20, 5);
         assert!(row.central_success >= 0.95, "{row:?}");
         assert!(row.p2p_success >= 0.95, "{row:?}");
@@ -207,6 +208,7 @@ mod tests {
 
     #[test]
     fn p2p_degrades_more_gracefully_than_central() {
+        let _serial = crate::serial_guard();
         // Any single seed is a churn-schedule lottery (a lucky registry
         // uptime path can score 100%), so compare means over a few seeds.
         let seeds = [2u64, 3, 4, 5];
@@ -227,6 +229,7 @@ mod tests {
 
     #[test]
     fn central_success_tracks_availability() {
+        let _serial = crate::serial_guard();
         let high = central_success(0.9, 30, 9);
         let low = central_success(0.5, 30, 9);
         assert!(high > low, "high {high} low {low}");

@@ -164,6 +164,7 @@ mod tests {
 
     #[test]
     fn async_overlaps_slow_services() {
+        let _serial = crate::serial_guard();
         let row = run(4, 40);
         // Sync pays ~4x40ms, async pays ~40ms + overhead. Demand a
         // conservative 2x to stay robust on loaded CI machines.

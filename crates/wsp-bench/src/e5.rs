@@ -93,6 +93,7 @@ mod tests {
 
     #[test]
     fn lightweight_path_is_orders_of_magnitude_faster() {
+        let _serial = crate::serial_guard();
         let lightweight = lightweight_ms(3);
         let container_cold = ContainerModel::default()
             .time_to_available(0, false)
@@ -107,6 +108,7 @@ mod tests {
 
     #[test]
     fn table_has_all_scenarios() {
+        let _serial = crate::serial_guard();
         let rows = rows();
         assert_eq!(rows.len(), 4);
         assert!(rows[0].hot_redeploy);

@@ -39,90 +39,101 @@ fn echo_handler() -> Arc<dyn wsp_wsdl::ServiceHandler> {
     Arc::new(|_op: &str, args: &[Value]| Ok(args[0].clone()))
 }
 
+/// Time `calls` echo invokes per consumer. With several consumers the
+/// calls alternate in ABBA order, so drift on a shared host (another
+/// process waking, a frequency step) lands on every row alike instead
+/// of on whichever row happened to run during it.
 fn measure(
-    consumer: &Peer,
-    service: &LocatedService,
+    consumers: &[(Peer, LocatedService, &'static str)],
     payload_bytes: usize,
     calls: usize,
-    transport: &'static str,
-) -> E7Row {
+) -> Vec<E7Row> {
     let payload = Value::string("x".repeat(payload_bytes));
-    // Warm-up.
-    for _ in 0..3 {
+    let invoke = |(consumer, service, _): &(Peer, LocatedService, &'static str)| {
         consumer
             .client()
             .invoke(service, "echo", std::slice::from_ref(&payload))
-            .expect("warmup");
+    };
+    // Warm-up.
+    for _ in 0..3 {
+        for c in consumers {
+            invoke(c).expect("warmup");
+        }
     }
-    let mut samples = Vec::with_capacity(calls);
-    for _ in 0..calls {
-        let start = Instant::now();
-        let out = consumer
-            .client()
-            .invoke(service, "echo", std::slice::from_ref(&payload))
-            .expect("invoke");
-        samples.push(start.elapsed().as_secs_f64() * 1000.0);
-        assert_eq!(out.as_str().map(str::len), Some(payload_bytes));
+    let mut samples = vec![Vec::with_capacity(calls); consumers.len()];
+    for round in 0..calls {
+        for k in 0..consumers.len() {
+            let i = if round % 2 == 0 {
+                k
+            } else {
+                consumers.len() - 1 - k
+            };
+            let start = Instant::now();
+            let out = invoke(&consumers[i]).expect("invoke");
+            samples[i].push(start.elapsed().as_secs_f64() * 1000.0);
+            assert_eq!(out.as_str().map(str::len), Some(payload_bytes));
+        }
     }
-    E7Row {
-        transport,
-        payload_bytes,
-        calls,
-        mean_ms: mean(&samples),
-        p50_ms: percentile_f64(&samples, 50.0),
-        p99_ms: percentile_f64(&samples, 99.0),
-    }
+    consumers
+        .iter()
+        .zip(&samples)
+        .map(|((_, _, transport), samples)| E7Row {
+            transport,
+            payload_bytes,
+            calls,
+            mean_ms: mean(samples),
+            p50_ms: percentile_f64(samples, 50.0),
+            p99_ms: percentile_f64(samples, 99.0),
+        })
+        .collect()
 }
 
-/// HTTP transport round trips.
+/// HTTP round trips from one consumer per `keep_alive` flag to one
+/// echo provider, measured interleaved (see [`measure`]).
+fn http_rows(keep_alive: &[bool], payload_bytes: usize, calls: usize) -> Vec<E7Row> {
+    let registry = Registry::new();
+    let provider = Peer::with_binding(&HttpUddiBinding::with_local_registry(
+        registry.clone(),
+        EventBus::new(),
+    ));
+    provider
+        .server()
+        .deploy_and_publish(echo_descriptor(), echo_handler())
+        .expect("deploy");
+    let consumers: Vec<_> = keep_alive
+        .iter()
+        .map(|&keep_alive| {
+            let consumer = Peer::with_binding(&HttpUddiBinding::new(
+                UddiClient::direct(registry.clone()),
+                EventBus::new(),
+                HttpUddiConfig {
+                    keep_alive,
+                    ..HttpUddiConfig::default()
+                },
+            ));
+            let service = consumer
+                .client()
+                .locate_one(&ServiceQuery::by_name("EchoBench"))
+                .expect("locate");
+            let transport = if keep_alive { "http+keepalive" } else { "http" };
+            (consumer, service, transport)
+        })
+        .collect();
+    measure(&consumers, payload_bytes, calls)
+}
+
+/// One connection per call.
 pub fn http_rtt(payload_bytes: usize, calls: usize) -> E7Row {
-    let registry = Registry::new();
-    let provider = Peer::with_binding(&HttpUddiBinding::with_local_registry(
-        registry.clone(),
-        EventBus::new(),
-    ));
-    provider
-        .server()
-        .deploy_and_publish(echo_descriptor(), echo_handler())
-        .expect("deploy");
-    let consumer = Peer::with_binding(&HttpUddiBinding::with_local_registry(
-        registry,
-        EventBus::new(),
-    ));
-    let service = consumer
-        .client()
-        .locate_one(&ServiceQuery::by_name("EchoBench"))
-        .expect("locate");
-    measure(&consumer, &service, payload_bytes, calls, "http")
+    http_rows(&[false], payload_bytes, calls).remove(0)
 }
 
-/// HTTP with the keep-alive connection pool (transport ablation).
-pub fn http_pooled_rtt(payload_bytes: usize, calls: usize) -> E7Row {
-    let registry = Registry::new();
-    let provider = Peer::with_binding(&HttpUddiBinding::with_local_registry(
-        registry.clone(),
-        EventBus::new(),
-    ));
-    provider
-        .server()
-        .deploy_and_publish(echo_descriptor(), echo_handler())
-        .expect("deploy");
-    let consumer = Peer::with_binding(&HttpUddiBinding::new(
-        UddiClient::direct(registry),
-        EventBus::new(),
-        HttpUddiConfig {
-            keep_alive: true,
-            ..HttpUddiConfig::default()
-        },
-    ));
-    let service = consumer
-        .client()
-        .locate_one(&ServiceQuery::by_name("EchoBench"))
-        .expect("locate");
-    measure(&consumer, &service, payload_bytes, calls, "http+keepalive")
+/// `[connection per call, keep-alive]` against the same provider,
+/// their calls interleaved.
+pub fn http_rtt_pair(payload_bytes: usize, calls: usize) -> [E7Row; 2] {
+    let rows = http_rows(&[false, true], payload_bytes, calls);
+    rows.try_into().expect("one row per consumer")
 }
 
-/// P2PS pipe transport round trips.
 pub fn p2ps_rtt(payload_bytes: usize, calls: usize) -> E7Row {
     let network = ThreadNetwork::new();
     let rv = network.spawn(PeerConfig::rendezvous(PeerId(0xE700)));
@@ -154,7 +165,7 @@ pub fn p2ps_rtt(payload_bytes: usize, calls: usize) -> E7Row {
         .client()
         .locate_one(&ServiceQuery::by_name("EchoBench"))
         .expect("locate");
-    let row = measure(&consumer, &service, payload_bytes, calls, "p2ps");
+    let row = measure(&[(consumer, service, "p2ps")], payload_bytes, calls).remove(0);
     drop(rv);
     row
 }
@@ -163,8 +174,7 @@ pub fn p2ps_rtt(payload_bytes: usize, calls: usize) -> E7Row {
 pub fn sweep(calls: usize) -> Vec<E7Row> {
     let mut rows = Vec::new();
     for payload in [32usize, 1024, 16 * 1024] {
-        rows.push(http_rtt(payload, calls));
-        rows.push(http_pooled_rtt(payload, calls));
+        rows.extend(http_rtt_pair(payload, calls));
         rows.push(p2ps_rtt(payload, calls));
     }
     rows
@@ -176,6 +186,7 @@ mod tests {
 
     #[test]
     fn both_transports_complete_small_payload_quickly() {
+        let _serial = crate::serial_guard();
         let http = http_rtt(64, 10);
         let p2ps = p2ps_rtt(64, 10);
         // Loopback round trips: single-digit-to-low-tens of ms.
@@ -185,8 +196,8 @@ mod tests {
 
     #[test]
     fn keep_alive_beats_connection_per_call() {
-        let plain = http_rtt(64, 20);
-        let pooled = http_pooled_rtt(64, 20);
+        let _serial = crate::serial_guard();
+        let [plain, pooled] = http_rtt_pair(64, 20);
         assert!(
             pooled.mean_ms < plain.mean_ms,
             "pooled {pooled:?} should beat per-call {plain:?}"
@@ -195,6 +206,7 @@ mod tests {
 
     #[test]
     fn large_payloads_cost_more_than_small() {
+        let _serial = crate::serial_guard();
         let small = http_rtt(32, 8);
         let large = http_rtt(256 * 1024, 8);
         assert!(large.mean_ms > small.mean_ms, "{small:?} vs {large:?}");

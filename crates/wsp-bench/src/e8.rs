@@ -174,6 +174,7 @@ mod tests {
 
     #[test]
     fn all_three_modes_succeed() {
+        let _serial = crate::serial_guard();
         let rows = run();
         assert_eq!(rows.len(), 3);
         for row in &rows {
@@ -183,6 +184,7 @@ mod tests {
 
     #[test]
     fn mixed_locate_beats_flood_locate() {
+        let _serial = crate::serial_guard();
         let rows = run();
         let pure_p2ps = rows
             .iter()

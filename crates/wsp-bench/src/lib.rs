@@ -34,3 +34,19 @@ pub mod e6;
 pub mod e7;
 pub mod e8;
 pub mod e9;
+
+/// Serialises the library tests that launch servers, spawn load threads,
+/// assert a timing ratio, flip the process-wide telemetry switch or keep
+/// a core busy for a long simulation. Run in parallel they share the
+/// host's cores, so one test's load skews another's wall-clock
+/// measurement (on a two-core host a simulation sweep beside the E17
+/// flood test is enough to double the cold tenant's p99). Each such
+/// test holds the guard for its whole body.
+#[cfg(test)]
+pub(crate) fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the next test still runs alone.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}

@@ -20,10 +20,6 @@ use wsp_core::machines::breaker::{
 use wsp_core::machines::correlation::{
     CallPhase, CorrelationEffect, CorrelationEvent, CorrelationMachine, CorrelationState,
 };
-use wsp_core::machines::keyed_admission::{
-    KeyedAdmissionEffect, KeyedAdmissionEvent, KeyedAdmissionMachine, KeyedAdmissionState,
-    KeyedShedReason,
-};
 use wsp_http::conn::{
     ConnEffect, ConnEvent, ConnMachine, ConnState, Phase as ConnPhase, TimerKind,
 };
@@ -241,143 +237,59 @@ pub fn breaker_mutation_counterexample() -> Option<Violation> {
 }
 
 // ---------------------------------------------------------------------------
-// Admission control
+// Admission control (per-tenant fair shares + queue-depth guard)
 // ---------------------------------------------------------------------------
 
+/// Two tenants with unequal weights, a tenant cap tight enough that
+/// every shed reason is reachable, and a one-job queue: guaranteed
+/// shares come out [3, 1], so tenant 0 can exercise the tenant cap and
+/// tenant 1 the reserve.
 fn admission_config() -> AdmissionMachine {
     AdmissionMachine {
-        max_in_flight: 2,
+        global_cap: 4,
+        weights: vec![2, 1],
+        tenant_cap: 3,
         max_queue_depth: 1,
     }
 }
 
 fn admission_events(state: &AdmissionState) -> Vec<AdmissionEvent> {
     let mut events = Vec::new();
-    for queue_depth in [0, 1] {
-        for deadline_expired in [false, true] {
-            for over_watermark in [false, true] {
-                events.push(AdmissionEvent::Admit {
-                    queue_depth,
-                    deadline_expired,
-                    over_watermark,
-                });
+    for tenant in 0..state.in_flight.len() {
+        for queue_depth in [0, 1] {
+            for deadline_expired in [false, true] {
+                for over_watermark in [false, true] {
+                    events.push(AdmissionEvent::Admit {
+                        tenant,
+                        queue_depth,
+                        deadline_expired,
+                        over_watermark,
+                    });
+                }
             }
         }
-    }
-    // Release is paired with a held permit (RAII in the shell), so it
-    // is only enabled while something is in flight.
-    if state.in_flight > 0 {
-        events.push(AdmissionEvent::Release);
+        // Release pairs with a held permit (RAII in the shell).
+        if state.in_flight[tenant] > 0 {
+            events.push(AdmissionEvent::Release { tenant });
+        }
     }
     events.push(AdmissionEvent::BeginDrain);
     events.push(AdmissionEvent::EndDrain);
     events
 }
 
-pub fn check_admission() -> Result<Report, Violation> {
-    let cfg = admission_config();
-    let graph = Graph::explore(cfg.clone(), admission_events, MAX_STATES);
-    graph.check_states("permit count never exceeds the cap", |s| {
-        s.in_flight <= cfg.max_in_flight
-    })?;
-    graph.check_edges("permit count never goes negative", |_f, _e, effects, _t| {
-        !effects.contains(&AdmissionEffect::PermitUnderflow)
-    })?;
-    graph.check_edges(
-        "nothing is admitted while draining",
-        |from, _e, effects, _t| !(from.draining && effects.contains(&AdmissionEffect::Admitted)),
-    )?;
-    graph.check_edges(
-        "an expired deadline always sheds as DeadlineExpired",
-        |_from, event, effects, _to| {
-            !matches!(
-                event,
-                AdmissionEvent::Admit {
-                    deadline_expired: true,
-                    ..
-                }
-            ) || effects == [AdmissionEffect::Shed(ShedReason::DeadlineExpired)]
-        },
-    )?;
-    graph.check_edges(
-        "admission implies every shed condition was clear",
-        |from, event, effects, _to| {
-            if !effects.contains(&AdmissionEffect::Admitted) {
-                return true;
-            }
-            match event {
-                AdmissionEvent::Admit {
-                    queue_depth,
-                    deadline_expired,
-                    over_watermark,
-                } => {
-                    !deadline_expired
-                        && !from.draining
-                        && *queue_depth < cfg.max_queue_depth
-                        && !over_watermark
-                        && from.in_flight < cfg.max_in_flight
-                }
-                _ => false,
-            }
-        },
-    )?;
-    graph.check_eventually("in-flight work can always drain to zero", |s| {
-        s.in_flight == 0
-    })?;
-    Ok(graph.report("admission(cap=2, queue=1)"))
-}
-
-// ---------------------------------------------------------------------------
-// Keyed (per-tenant) fair-share admission
-// ---------------------------------------------------------------------------
-
-/// Two tenants with unequal weights and a tenant cap tight enough that
-/// every shed reason is reachable: guaranteed shares come out [3, 1],
-/// so tenant 0 can exercise the tenant cap and tenant 1 the reserve.
-fn keyed_admission_config() -> KeyedAdmissionMachine {
-    KeyedAdmissionMachine {
-        global_cap: 4,
-        weights: vec![2, 1],
-        tenant_cap: 3,
-    }
-}
-
-fn keyed_admission_events(state: &KeyedAdmissionState) -> Vec<KeyedAdmissionEvent> {
-    let mut events = Vec::new();
-    for tenant in 0..2 {
-        for deadline_expired in [false, true] {
-            for over_watermark in [false, true] {
-                events.push(KeyedAdmissionEvent::Admit {
-                    tenant,
-                    deadline_expired,
-                    over_watermark,
-                });
-            }
-        }
-        // Release pairs with a held permit (RAII in the shell).
-        if state.in_flight[tenant] > 0 {
-            events.push(KeyedAdmissionEvent::Release { tenant });
-        }
-    }
-    events.push(KeyedAdmissionEvent::BeginDrain);
-    events.push(KeyedAdmissionEvent::EndDrain);
-    events
-}
-
 /// The invariants, shared between the genuine machine and the mutants
 /// so a mutant is condemned by exactly the properties we quote.
-fn keyed_admission_invariants<M>(
-    graph: &Graph<M>,
-    cfg: &KeyedAdmissionMachine,
-) -> Result<(), Violation>
+fn admission_invariants<M>(graph: &Graph<M>, cfg: &AdmissionMachine) -> Result<(), Violation>
 where
-    M: Machine<
-        State = KeyedAdmissionState,
-        Event = KeyedAdmissionEvent,
-        Effect = KeyedAdmissionEffect,
-    >,
+    M: Machine<State = AdmissionState, Event = AdmissionEvent, Effect = AdmissionEffect>,
 {
     let guaranteed = cfg.guaranteed();
+    let admitted = |effects: &[AdmissionEffect]| {
+        effects
+            .iter()
+            .any(|fx| matches!(fx, AdmissionEffect::Admitted { .. }))
+    };
     graph.check_states("total permits never exceed the global cap", |s| {
         s.total() <= cfg.global_cap
     })?;
@@ -396,32 +308,51 @@ where
         s.total() + reserve <= cfg.global_cap
     })?;
     graph.check_edges("permit counts never go negative", |_f, _e, effects, _t| {
-        !effects.contains(&KeyedAdmissionEffect::PermitUnderflow)
+        !effects.contains(&AdmissionEffect::PermitUnderflow)
     })?;
     graph.check_edges(
         "nothing is admitted while draining",
-        |from, _e, effects, _t| {
-            !(from.draining
-                && effects
-                    .iter()
-                    .any(|fx| matches!(fx, KeyedAdmissionEffect::Admitted { .. })))
-        },
+        |from, _e, effects, _t| !(from.draining && admitted(effects)),
     )?;
     graph.check_edges(
         "an expired deadline always sheds as DeadlineExpired",
         |_from, event, effects, _to| match event {
-            KeyedAdmissionEvent::Admit {
+            AdmissionEvent::Admit {
                 tenant,
                 deadline_expired: true,
                 ..
             } => {
                 effects
-                    == [KeyedAdmissionEffect::Shed {
+                    == [AdmissionEffect::Shed {
                         tenant: *tenant,
-                        reason: KeyedShedReason::DeadlineExpired,
+                        reason: ShedReason::DeadlineExpired,
                     }]
             }
             _ => true,
+        },
+    )?;
+    graph.check_edges(
+        "admission implies every shed condition was clear",
+        |from, event, effects, _to| {
+            if !admitted(effects) {
+                return true;
+            }
+            match event {
+                AdmissionEvent::Admit {
+                    tenant,
+                    queue_depth,
+                    deadline_expired,
+                    over_watermark,
+                } => {
+                    !deadline_expired
+                        && !from.draining
+                        && *queue_depth < cfg.max_queue_depth
+                        && !over_watermark
+                        && from.in_flight[*tenant] < cfg.tenant_cap
+                        && from.total() < cfg.global_cap
+                }
+                _ => false,
+            }
         },
     )?;
     // No starvation: a clean request from a tenant still under its
@@ -429,12 +360,16 @@ where
     graph.check_edges(
         "a tenant below its guaranteed share is never shed for capacity",
         |from, event, effects, _to| match event {
-            KeyedAdmissionEvent::Admit {
+            AdmissionEvent::Admit {
                 tenant,
+                queue_depth,
                 deadline_expired: false,
                 over_watermark: false,
-            } if !from.draining && from.in_flight[*tenant] < guaranteed[*tenant] => {
-                effects == [KeyedAdmissionEffect::Admitted { tenant: *tenant }]
+            } if !from.draining
+                && *queue_depth < cfg.max_queue_depth
+                && from.in_flight[*tenant] < guaranteed[*tenant] =>
+            {
+                effects == [AdmissionEffect::Admitted { tenant: *tenant }]
             }
             _ => true,
         },
@@ -444,23 +379,19 @@ where
     })
 }
 
-pub fn check_keyed_admission() -> Result<Report, Violation> {
-    let cfg = keyed_admission_config();
-    let graph = Graph::explore(cfg.clone(), keyed_admission_events, MAX_STATES);
-    keyed_admission_invariants(&graph, &cfg)?;
-    Ok(graph.report("keyed_admission(cap=4, weights=[2,1], tenant_cap=3)"))
+pub fn check_admission() -> Result<Report, Violation> {
+    let cfg = admission_config();
+    let graph = Graph::explore(cfg.clone(), admission_events, MAX_STATES);
+    admission_invariants(&graph, &cfg)?;
+    Ok(graph.report("admission(cap=4, weights=[2,1], tenant_cap=3, queue=1)"))
 }
 
 /// Mutation run: the borrow path that forgets the fair-share reserve
 /// must be condemned with a trace (see [`IgnoreReserve`]).
-pub fn keyed_admission_mutation_counterexample() -> Option<Violation> {
-    let cfg = keyed_admission_config();
-    let graph = Graph::explore(
-        IgnoreReserve(cfg.clone()),
-        keyed_admission_events,
-        MAX_STATES,
-    );
-    keyed_admission_invariants(&graph, &cfg).err()
+pub fn admission_mutation_counterexample() -> Option<Violation> {
+    let cfg = admission_config();
+    let graph = Graph::explore(IgnoreReserve(cfg.clone()), admission_events, MAX_STATES);
+    admission_invariants(&graph, &cfg).err()
 }
 
 // ---------------------------------------------------------------------------
@@ -824,7 +755,7 @@ fn composed_invariants(
 ) -> Result<(), Violation> {
     graph.check_states(
         "the admission permit count equals the number of running calls",
-        |s| s.admission.in_flight == s.running.len() as u64,
+        |s| s.admission.total() == s.running.len() as u64,
     )?;
     graph.check_states(
         "a probe in flight is always carried by a running call (never stranded)",
@@ -906,7 +837,7 @@ pub fn composed_random_walk() -> Result<(), Violation> {
         50_000,
         fault_seed(),
         |from, _event, effects, to| {
-            if to.admission.in_flight != to.running.len() as u64 {
+            if to.admission.total() != to.running.len() as u64 {
                 return Err("permit count diverged from running calls".into());
             }
             if effects.contains(&ComposedEffect::Admission(AdmissionEffect::PermitUnderflow)) {
@@ -1096,7 +1027,6 @@ pub fn run_all() -> Result<Vec<Report>, Violation> {
     let reports = vec![
         check_breaker()?,
         check_admission()?,
-        check_keyed_admission()?,
         check_correlation()?,
         check_drain()?,
         check_conn()?,
@@ -1163,20 +1093,25 @@ mod tests {
 
     #[test]
     fn admission_configuration_is_clean() {
-        let report = check_admission().unwrap();
+        // One tenant, as the bindings run it: the same invariants over
+        // in-flight 0..=2 x drain.
+        let cfg = AdmissionMachine::single_tenant(2, 1);
+        let graph = Graph::explore(cfg.clone(), admission_events, MAX_STATES);
+        admission_invariants(&graph, &cfg).unwrap();
+        let report = graph.report("admission(cap=2, one tenant, queue=1)");
         assert!(report.states >= 6, "{report}");
     }
 
     #[test]
     fn keyed_admission_configuration_is_clean() {
-        let report = check_keyed_admission().unwrap();
+        let report = check_admission().unwrap();
         // Reachable (f0, f1) pairs under the cap and reserve, x drain.
         assert!(report.states >= 14, "{report}");
     }
 
     #[test]
     fn keyed_admission_mutation_is_caught_with_a_trace() {
-        let violation = keyed_admission_mutation_counterexample()
+        let violation = admission_mutation_counterexample()
             .expect("the ignore-reserve mutant must be condemned");
         assert!(
             violation.invariant.contains("global cap")
@@ -1236,7 +1171,9 @@ mod tests {
     #[test]
     fn composed_configuration_is_clean() {
         let report = check_composed().unwrap();
-        assert!(report.states > 100, "{report}");
+        // A one-tenant admission machine behaves exactly like a plain
+        // in-flight cap, so the product graph must not grow or shrink.
+        assert_eq!((report.states, report.transitions), (408, 2089), "{report}");
     }
 
     #[test]

@@ -55,10 +55,7 @@ impl ComposedMachine {
                 failure_threshold: 2,
                 cooldown: 2,
             },
-            admission: AdmissionMachine {
-                max_in_flight: 1,
-                max_queue_depth: u64::MAX,
-            },
+            admission: AdmissionMachine::single_tenant(1, u64::MAX),
             calls: CorrelationMachine,
             max_ticks: 4,
         }
@@ -148,7 +145,9 @@ impl Machine for ComposedMachine {
         let admission = |next: &mut ComposedState, ev: AdmissionEvent, out: &mut Vec<E>| {
             let (s, effects) = self.admission.step(&next.admission, &ev);
             next.admission = s;
-            let admitted = effects.contains(&AdmissionEffect::Admitted);
+            let admitted = effects
+                .iter()
+                .any(|e| matches!(e, AdmissionEffect::Admitted { .. }));
             out.extend(effects.into_iter().map(E::Admission));
             admitted
         };
@@ -174,6 +173,7 @@ impl Machine for ComposedMachine {
                         Some(verdict @ (Admit::Allowed | Admit::Probe)) => {
                             let is_probe = verdict == Admit::Probe;
                             let admit = AdmissionEvent::Admit {
+                                tenant: 0,
                                 queue_depth: 0,
                                 deadline_expired: false,
                                 over_watermark: false,
@@ -201,7 +201,7 @@ impl Machine for ComposedMachine {
                 if next.running.remove(&t).is_some() {
                     calls(&mut next, CorrelationEvent::Complete(t), &mut out);
                     breaker(&mut next, BreakerEvent::Success, &mut out);
-                    admission(&mut next, AdmissionEvent::Release, &mut out);
+                    admission(&mut next, AdmissionEvent::Release { tenant: 0 }, &mut out);
                 }
             }
             ComposedEvent::Fail(t) => {
@@ -211,7 +211,7 @@ impl Machine for ComposedMachine {
                     // error as its result) — only the breaker counts it.
                     calls(&mut next, CorrelationEvent::Complete(t), &mut out);
                     breaker(&mut next, BreakerEvent::Failure { now }, &mut out);
-                    admission(&mut next, AdmissionEvent::Release, &mut out);
+                    admission(&mut next, AdmissionEvent::Release { tenant: 0 }, &mut out);
                 }
             }
             ComposedEvent::PanicCall(t) => {
@@ -222,7 +222,7 @@ impl Machine for ComposedMachine {
                         // The runtime's ProbeGuard unwinds with the panic.
                         breaker(&mut next, BreakerEvent::ProbeAborted { now }, &mut out);
                     }
-                    admission(&mut next, AdmissionEvent::Release, &mut out);
+                    admission(&mut next, AdmissionEvent::Release { tenant: 0 }, &mut out);
                 }
             }
             ComposedEvent::Take(t) => calls(&mut next, CorrelationEvent::Take(t), &mut out),

@@ -54,8 +54,8 @@ fn main() -> ExitCode {
                 wsp_check::checks::replication_mutation_counterexample(),
             ),
             (
-                "keyed admission: borrow ignores the fair-share reserve",
-                wsp_check::checks::keyed_admission_mutation_counterexample(),
+                "admission: borrow ignores the fair-share reserve",
+                wsp_check::checks::admission_mutation_counterexample(),
             ),
         ];
         let mut all_condemned = true;

@@ -8,11 +8,10 @@
 //! means the invariants are load-bearing, not vacuous.
 
 use crate::composed::{ComposedEvent, ComposedMachine, ComposedState};
-use wsp_core::machines::breaker::{BreakerEvent, BreakerMachine, BreakerState};
-use wsp_core::machines::keyed_admission::{
-    KeyedAdmissionEffect, KeyedAdmissionEvent, KeyedAdmissionMachine, KeyedAdmissionState,
-    KeyedShedReason,
+use wsp_core::machines::admission::{
+    AdmissionEffect, AdmissionEvent, AdmissionMachine, AdmissionState, ShedReason,
 };
+use wsp_core::machines::breaker::{BreakerEvent, BreakerMachine, BreakerState};
 use wsp_http::conn::{ConnEffect, ConnEvent, ConnMachine, ConnState, Phase, TimerKind};
 use wsp_http::drain::{DrainEffect, DrainEvent, DrainMachine, DrainState};
 use wsp_simnet::Machine;
@@ -136,31 +135,31 @@ impl Machine for StickyHeadTimer {
     }
 }
 
-/// Mutation: the borrow path of the keyed fair-share policy checks the
+/// Mutation: the borrow path of the fair-share admission policy checks the
 /// global cap but forgets the reserve held for other tenants' unused
 /// guaranteed shares. A tenant over its share can then fill the budget,
 /// and a below-share tenant's unconditional admit blows the global cap.
 #[derive(Debug, Clone)]
-pub struct IgnoreReserve(pub KeyedAdmissionMachine);
+pub struct IgnoreReserve(pub AdmissionMachine);
 
 impl Machine for IgnoreReserve {
-    type State = KeyedAdmissionState;
-    type Event = KeyedAdmissionEvent;
-    type Effect = KeyedAdmissionEffect;
+    type State = AdmissionState;
+    type Event = AdmissionEvent;
+    type Effect = AdmissionEffect;
 
-    fn initial(&self) -> KeyedAdmissionState {
+    fn initial(&self) -> AdmissionState {
         self.0.initial()
     }
 
     fn step(
         &self,
-        state: &KeyedAdmissionState,
-        event: &KeyedAdmissionEvent,
-    ) -> (KeyedAdmissionState, Vec<KeyedAdmissionEffect>) {
+        state: &AdmissionState,
+        event: &AdmissionEvent,
+    ) -> (AdmissionState, Vec<AdmissionEffect>) {
         let (next, effects) = self.0.step(state, event);
-        if let [KeyedAdmissionEffect::Shed {
+        if let [AdmissionEffect::Shed {
             tenant,
-            reason: KeyedShedReason::FairShareReserve,
+            reason: ShedReason::FairShareReserve,
         }] = effects[..]
         {
             if state.total() < self.0.global_cap {
@@ -168,7 +167,7 @@ impl Machine for IgnoreReserve {
                 // borrower without leaving the reserve intact.
                 let mut next = state.clone();
                 next.in_flight[tenant] += 1;
-                return (next, vec![KeyedAdmissionEffect::Admitted { tenant }]);
+                return (next, vec![AdmissionEffect::Admitted { tenant }]);
             }
         }
         (next, effects)

@@ -245,7 +245,7 @@ fn metrics_handler(shared: Weak<Shared>) -> wsp_http::HttpHandler {
             extra.push_str(&format!("http_pool_idle {}\n", shared.pool.idle_count()));
             extra.push_str(&format!(
                 "admission_in_flight {}\n",
-                shared.admission.in_flight()
+                shared.admission.total_in_flight()
             ));
             extra.push_str(&format!(
                 "admission_draining {}\n",
@@ -458,7 +458,11 @@ impl ServiceDeployer for HttpDeployer {
                                 .as_ref()
                                 .map(|d| d.stats().queue_depth)
                                 .unwrap_or(0);
-                            match shared.admission.try_admit(queue_depth, deadline) {
+                            match shared.admission.try_admit(
+                                overload::ANONYMOUS_TENANT,
+                                queue_depth,
+                                deadline,
+                            ) {
                                 Ok(permit) => Some(permit),
                                 Err(error) => {
                                     if registry.is_enabled() {

@@ -262,10 +262,11 @@ fn admit_and_serve(shared: &Arc<Shared>, pipe: &PipeAdvertisement, received: Rec
         }
         return;
     }
-    match shared
-        .admission
-        .try_admit(dispatcher.stats().queue_depth, deadline)
-    {
+    match shared.admission.try_admit(
+        overload::ANONYMOUS_TENANT,
+        dispatcher.stats().queue_depth,
+        deadline,
+    ) {
         Ok(permit) => {
             let received = Arc::new(received);
             let job_shared = shared.clone();

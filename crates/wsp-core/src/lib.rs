@@ -107,10 +107,7 @@ pub use events::{
 pub use health::{
     Admission, BreakerConfig, BreakerState, CircuitBreaker, EndpointHealth, ProbeGuard,
 };
-pub use overload::{
-    AdmissionController, AdmissionPermit, DeadlineScope, KeyedAdmissionController,
-    KeyedAdmissionPermit, KeyedLoadShedPolicy, LoadShedPolicy,
-};
+pub use overload::{AdmissionController, AdmissionPermit, DeadlineScope, LoadShedPolicy};
 pub use peer::Peer;
 pub use query::{QueryExpr, ServiceQuery};
 pub use resilience::{ResiliencePolicy, RetryClass};

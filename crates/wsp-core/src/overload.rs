@@ -6,7 +6,7 @@
 //! to absorb a burst. This module is the host-side half of the
 //! resilience story started by the client retry loop: a
 //! [`LoadShedPolicy`] bounds how much work a peer accepts, an
-//! [`AdmissionController`] enforces it with an O(1) check per request,
+//! [`AdmissionController`] enforces it with one short check per request,
 //! and a shed answers *immediately* with [`WspError::Overloaded`] plus
 //! a `Retry-After` hint — so a retry storm backs off instead of
 //! amplifying the overload.
@@ -18,22 +18,22 @@
 //! server-side into a [`DeadlineScope`], and work whose deadline has
 //! already expired is shed at dequeue time — there is no point
 //! computing a response nobody is waiting for.
-
+//!
 //! Every admission decision lives in the pure
 //! [`crate::machines::admission::AdmissionMachine`]; this module is its
-//! runtime shell. The shell gathers the *observations* (queue depth,
-//! deadline expiry, the sampled watermark verdict), ships them inside
-//! an [`AdmissionEvent::Admit`], and translates the effects back into
-//! permits, faults and counters. `wsp-check` exhaustively explores the
-//! machine; the tests here exercise the shell around it.
+//! one runtime shell. The shell interns tenants, gathers the
+//! *observations* (queue depth, deadline expiry, the sampled watermark
+//! verdict), ships them inside an [`AdmissionEvent::Admit`], and
+//! translates the effect back into a permit, a fault and counters. The
+//! bindings run it with one tenant ([`LoadShedPolicy::unlimited`],
+//! [`LoadShedPolicy::bounded`]); the mediation gateway runs it with
+//! per-tenant fair shares ([`LoadShedPolicy::fair`]). `wsp-check`
+//! exhaustively explores the machine; the tests here exercise the
+//! shell around it.
 
 use crate::error::WspError;
 use crate::machines::admission::{
     AdmissionEffect, AdmissionEvent, AdmissionMachine, AdmissionState, ShedReason,
-};
-use crate::machines::keyed_admission::{
-    KeyedAdmissionEffect, KeyedAdmissionEvent, KeyedAdmissionMachine, KeyedAdmissionState,
-    KeyedShedReason,
 };
 use crate::telemetry::{self, Counter};
 use parking_lot::Mutex;
@@ -42,16 +42,15 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wsp_simnet::Machine;
 
 /// Request header carrying the caller's *remaining* call budget in
 /// milliseconds. Relative (a duration) rather than absolute so clock
 /// skew between peers cannot manufacture or destroy budget.
 pub const DEADLINE_HEADER: &str = "X-WSP-Deadline";
 
-/// Request header naming the tenant a request belongs to, for keyed
-/// (per-tenant fair-share) admission. Requests without it fall into
-/// the [`ANONYMOUS_TENANT`] bucket.
+/// Request header naming the tenant a request belongs to, for
+/// per-tenant fair-share admission. Requests without it fall into the
+/// [`ANONYMOUS_TENANT`] bucket.
 pub const TENANT_HEADER: &str = "X-WSP-Tenant";
 
 /// The tenant bucket for requests that do not identify themselves.
@@ -79,269 +78,41 @@ pub const DEADLINE_SOAP_HEADER: &str = "Deadline";
 /// the cached verdict is used, keeping the admission check O(1).
 const WATERMARK_SAMPLE_SHIFT: u64 = 6;
 
-/// What a host is willing to accept before shedding.
+/// What a host is willing to accept before shedding. One global
+/// in-flight cap is split into guaranteed shares by tenant weight
+/// (largest-remainder apportionment, computed by the pure machine);
+/// tenants may borrow idle capacity beyond their share but never out
+/// of another tenant's unused guarantee. A host that does not tell
+/// callers apart runs one tenant, whose share is the whole cap.
 ///
 /// The default policy is effectively unlimited — exactly the
 /// pre-overload-protection behaviour, so nothing sheds until a policy
 /// is configured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadShedPolicy {
-    /// Shed when the dispatch queue already holds this many jobs.
-    /// `usize::MAX` disables the check.
-    pub max_queue_depth: usize,
-    /// Shed when this many requests are already in flight (admitted
-    /// and not yet answered). `usize::MAX` disables the check.
-    pub max_in_flight: usize,
-    /// Shed when the p99 dispatch queue wait (from the telemetry
-    /// histograms, sampled periodically) exceeds this — the earliest
-    /// smoke signal of saturation, firing before the queue is full.
-    pub queue_wait_watermark: Option<Duration>,
-    /// The `Retry-After` hint attached to every shed.
-    pub retry_after: Duration,
-}
-
-impl Default for LoadShedPolicy {
-    fn default() -> Self {
-        LoadShedPolicy::unlimited()
-    }
-}
-
-impl LoadShedPolicy {
-    /// Accept everything (the legacy behaviour).
-    pub fn unlimited() -> Self {
-        LoadShedPolicy {
-            max_queue_depth: usize::MAX,
-            max_in_flight: usize::MAX,
-            queue_wait_watermark: None,
-            retry_after: Duration::from_millis(100),
-        }
-    }
-
-    /// A bounded policy: at most `in_flight` concurrent requests and
-    /// `queue_depth` queued jobs, 100 ms retry hint.
-    pub fn bounded(in_flight: usize, queue_depth: usize) -> Self {
-        LoadShedPolicy {
-            max_queue_depth: queue_depth,
-            max_in_flight: in_flight,
-            queue_wait_watermark: None,
-            retry_after: Duration::from_millis(100),
-        }
-    }
-
-    pub fn with_retry_after(mut self, hint: Duration) -> Self {
-        self.retry_after = hint;
-        self
-    }
-
-    pub fn with_queue_wait_watermark(mut self, watermark: Duration) -> Self {
-        self.queue_wait_watermark = Some(watermark);
-        self
-    }
-
-    /// Does this policy ever shed?
-    pub fn is_limiting(&self) -> bool {
-        self.max_queue_depth != usize::MAX
-            || self.max_in_flight != usize::MAX
-            || self.queue_wait_watermark.is_some()
-    }
-}
-
-/// Enforces a [`LoadShedPolicy`] for one host. Cheap to clone (all
-/// state behind one `Arc`); both bindings of a peer may share one
-/// controller so the in-flight cap is per-peer, not per-transport.
-#[derive(Clone)]
-pub struct AdmissionController {
-    inner: Arc<AdmissionInner>,
-}
-
-struct AdmissionInner {
-    policy: LoadShedPolicy,
-    machine: AdmissionMachine,
-    /// All protocol state; every transition steps the machine under
-    /// this mutex, so concurrent admissions serialise and the cap is
-    /// never transiently breached.
-    state: Mutex<AdmissionState>,
-    admissions: AtomicU64,
-    /// Cached verdict of the periodic watermark sample.
-    over_watermark: AtomicBool,
-    admitted: Arc<Counter>,
-    shed: Arc<Counter>,
-    shed_expired: Arc<Counter>,
-}
-
-impl AdmissionController {
-    pub fn new(policy: LoadShedPolicy) -> Self {
-        let registry = telemetry::global();
-        let machine = AdmissionMachine {
-            max_in_flight: policy.max_in_flight as u64,
-            max_queue_depth: policy.max_queue_depth as u64,
-        };
-        let state = Mutex::new(machine.initial());
-        AdmissionController {
-            inner: Arc::new(AdmissionInner {
-                policy,
-                machine,
-                state,
-                admissions: AtomicU64::new(0),
-                over_watermark: AtomicBool::new(false),
-                admitted: registry.counter("admission.admitted"),
-                shed: registry.counter("admission.shed"),
-                shed_expired: registry.counter("admission.shed_expired"),
-            }),
-        }
-    }
-
-    fn step(&self, event: AdmissionEvent) -> Vec<AdmissionEffect> {
-        let mut state = self.inner.state.lock();
-        let (next, effects) = self.inner.machine.step(&state, &event);
-        *state = next;
-        effects
-    }
-
-    pub fn policy(&self) -> &LoadShedPolicy {
-        &self.inner.policy
-    }
-
-    /// Requests currently admitted and unanswered.
-    pub fn in_flight(&self) -> usize {
-        self.inner.state.lock().in_flight as usize
-    }
-
-    /// Enter drain mode: every subsequent admission is refused (with
-    /// the retry hint) while already-admitted work runs to completion.
-    pub fn start_draining(&self) {
-        self.step(AdmissionEvent::BeginDrain);
-    }
-
-    pub fn stop_draining(&self) {
-        self.step(AdmissionEvent::EndDrain);
-    }
-
-    pub fn is_draining(&self) -> bool {
-        self.inner.state.lock().draining
-    }
-
-    fn overloaded(&self) -> WspError {
-        self.inner.shed.incr();
-        WspError::Overloaded {
-            retry_after_ms: Some(self.inner.policy.retry_after.as_millis() as u64),
-        }
-    }
-
-    /// The shell's half of the watermark check: sample the p99 queue
-    /// wait every 2^[`WATERMARK_SAMPLE_SHIFT`] admissions, cache the
-    /// verdict, and hand the machine a plain boolean observation.
-    fn observe_watermark(&self) -> bool {
-        let Some(watermark) = self.inner.policy.queue_wait_watermark else {
-            return false;
-        };
-        let n = self.inner.admissions.fetch_add(1, Ordering::Relaxed);
-        if n & ((1 << WATERMARK_SAMPLE_SHIFT) - 1) == 0 {
-            let p99_us = telemetry::global()
-                .histogram("dispatch.queue_wait_us")
-                .snapshot()
-                .p99();
-            let over = Duration::from_micros(p99_us) > watermark;
-            self.inner.over_watermark.store(over, Ordering::Relaxed);
-        }
-        self.inner.over_watermark.load(Ordering::Relaxed)
-    }
-
-    /// Admit one request or shed it. `queue_depth` is the host's
-    /// current dispatch-queue depth (pass 0 when not applicable);
-    /// `deadline` is the caller's propagated deadline, shed immediately
-    /// when already expired (the caller has given up — answering
-    /// quickly matters more than answering at all).
-    pub fn try_admit(
-        &self,
-        queue_depth: usize,
-        deadline: Option<Instant>,
-    ) -> Result<AdmissionPermit, WspError> {
-        let event = AdmissionEvent::Admit {
-            queue_depth: queue_depth as u64,
-            deadline_expired: deadline.is_some_and(|d| Instant::now() >= d),
-            over_watermark: self.observe_watermark(),
-        };
-        match self.step(event).first() {
-            Some(AdmissionEffect::Admitted) => {
-                self.inner.admitted.incr();
-                Ok(AdmissionPermit {
-                    controller: self.clone(),
-                })
-            }
-            Some(AdmissionEffect::Shed(reason)) => {
-                if *reason == ShedReason::DeadlineExpired {
-                    self.inner.shed_expired.incr();
-                }
-                Err(self.overloaded())
-            }
-            other => unreachable!("Admit event produced {other:?}"),
-        }
-    }
-
-    /// Block until all admitted work has finished or `deadline` passes.
-    /// Returns the number of requests still in flight (0 on success).
-    pub fn await_idle(&self, deadline: Instant) -> usize {
-        loop {
-            let in_flight = self.in_flight();
-            if in_flight == 0 || Instant::now() >= deadline {
-                return in_flight;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-}
-
-/// RAII proof of admission: holds one in-flight slot, released on drop
-/// (success, fault and panic paths alike).
-pub struct AdmissionPermit {
-    controller: AdmissionController,
-}
-
-impl std::fmt::Debug for AdmissionPermit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdmissionPermit")
-            .field("in_flight", &self.controller.in_flight())
-            .finish()
-    }
-}
-
-impl Drop for AdmissionPermit {
-    fn drop(&mut self) {
-        let effects = self.controller.step(AdmissionEvent::Release);
-        debug_assert!(
-            !effects.contains(&AdmissionEffect::PermitUnderflow),
-            "permit released with nothing in flight"
-        );
-    }
-}
-
-// --- keyed (per-tenant fair-share) admission --------------------------------
-
-/// What a mediation tier is willing to accept, per tenant: the keyed
-/// generalisation of [`LoadShedPolicy`]. One global in-flight cap is
-/// split into guaranteed shares by tenant weight (largest-remainder
-/// apportionment, computed by the pure machine); tenants may borrow
-/// idle capacity beyond their share but never out of another tenant's
-/// unused guarantee.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KeyedLoadShedPolicy {
-    /// Total in-flight permits across every tenant.
+    /// Total in-flight permits (admitted and not yet answered) across
+    /// every tenant. `usize::MAX` disables the check.
     pub global_max_in_flight: usize,
     /// Hard per-tenant burst ceiling (even with the rest of the host
     /// idle, one tenant cannot exceed this).
     pub tenant_max_in_flight: usize,
+    /// Shed when the dispatch queue already holds this many jobs.
+    /// `usize::MAX` disables the check.
+    pub max_queue_depth: usize,
     /// Weight applied to tenants not listed in `weights`.
     pub default_weight: u64,
     /// Explicitly weighted tenants, interned first (in this order).
     pub weights: Vec<(String, u64)>,
-    /// Same early-smoke-signal watermark as [`LoadShedPolicy`].
+    /// Shed when the p99 dispatch queue wait (from the telemetry
+    /// histograms, sampled periodically) exceeds this — the earliest
+    /// smoke signal of saturation, firing before the queue is full.
     pub queue_wait_watermark: Option<Duration>,
-    /// Base `Retry-After` hint; per-tenant hints scale it by how far
-    /// over its guaranteed share the tenant already is.
+    /// Base `Retry-After` hint; a tenant shed for its own pressure
+    /// (tenant cap, fair-share reserve) gets it scaled by how far over
+    /// its guaranteed share it already is.
     pub retry_after: Duration,
-    /// Telemetry prefix for the per-tenant shed counters
-    /// (`<prefix>.<tenant>.shed`).
+    /// Telemetry prefix: `<prefix>.admitted`, `<prefix>.shed`,
+    /// `<prefix>.shed_expired` and per tenant `<prefix>.<tenant>.shed`.
     pub counter_prefix: String,
     /// Ceiling on the interned tenant population. Tenant ids arrive in
     /// client-controlled headers, so without a bound an attacker
@@ -355,12 +126,41 @@ pub struct KeyedLoadShedPolicy {
     pub max_tenants: usize,
 }
 
-impl KeyedLoadShedPolicy {
+impl Default for LoadShedPolicy {
+    fn default() -> Self {
+        LoadShedPolicy::unlimited()
+    }
+}
+
+impl LoadShedPolicy {
+    /// Accept everything (the legacy behaviour).
+    pub fn unlimited() -> Self {
+        LoadShedPolicy::bounded(usize::MAX, usize::MAX)
+    }
+
+    /// A single-tenant policy: at most `in_flight` concurrent requests
+    /// and `queue_depth` queued jobs, 100 ms retry hint, counters under
+    /// `admission.*`.
+    pub fn bounded(in_flight: usize, queue_depth: usize) -> Self {
+        LoadShedPolicy {
+            global_max_in_flight: in_flight,
+            tenant_max_in_flight: usize::MAX,
+            max_queue_depth: queue_depth,
+            default_weight: 1,
+            weights: Vec::new(),
+            queue_wait_watermark: None,
+            retry_after: Duration::from_millis(100),
+            counter_prefix: "admission".to_owned(),
+            max_tenants: 1,
+        }
+    }
+
     /// An equal-weight fair-share policy over `global_cap` permits.
     pub fn fair(global_cap: usize) -> Self {
-        KeyedLoadShedPolicy {
+        LoadShedPolicy {
             global_max_in_flight: global_cap,
             tenant_max_in_flight: global_cap,
+            max_queue_depth: usize::MAX,
             default_weight: 1,
             weights: Vec::new(),
             queue_wait_watermark: None,
@@ -385,6 +185,11 @@ impl KeyedLoadShedPolicy {
         self
     }
 
+    pub fn with_queue_wait_watermark(mut self, watermark: Duration) -> Self {
+        self.queue_wait_watermark = Some(watermark);
+        self
+    }
+
     pub fn with_counter_prefix(mut self, prefix: impl Into<String>) -> Self {
         self.counter_prefix = prefix.into();
         self
@@ -396,24 +201,30 @@ impl KeyedLoadShedPolicy {
     }
 }
 
-/// All keyed protocol state, stepped under one mutex. The tenant
-/// interner lives inside the same lock: admitting a brand-new tenant
-/// atomically grows the machine's weight vector and the state's
+/// All protocol state, stepped under one mutex, so concurrent
+/// admissions serialise and no cap is ever transiently breached. The
+/// tenant interner lives inside the same lock: admitting a brand-new
+/// tenant atomically grows the machine's weight vector and the state's
 /// in-flight vector, so shares re-apportion on the very next decision.
 ///
 /// The apportionment is cached here and recomputed only when the
 /// weight vector changes (a tenant interned), so the steady-state
 /// admission path does no `O(n log n)` work under the lock.
-struct KeyedSync {
-    machine: KeyedAdmissionMachine,
-    state: KeyedAdmissionState,
+struct AdmissionSync {
+    machine: AdmissionMachine,
+    state: AdmissionState,
     tenants: Vec<String>,
     index: HashMap<String, usize>,
     /// `machine.guaranteed()` for the current weight vector.
     guaranteed: Vec<u64>,
 }
 
-impl KeyedSync {
+impl AdmissionSync {
+    fn step(&mut self, event: &AdmissionEvent) -> Option<AdmissionEffect> {
+        self.machine
+            .step_in_place(&self.guaranteed, &mut self.state, event)
+    }
+
     fn intern(&mut self, tenant: &str, weight: u64) -> usize {
         if let Some(&i) = self.index.get(tenant) {
             return i;
@@ -429,10 +240,10 @@ impl KeyedSync {
 
     /// The slot a request for `tenant` is accounted to. Known tenants
     /// resolve directly; unseen ones intern while the population is
-    /// below [`KeyedLoadShedPolicy::max_tenants`] and share the
+    /// below [`LoadShedPolicy::max_tenants`] and share the
     /// [`ANONYMOUS_TENANT`] bucket beyond it, bounding memory, metric
     /// cardinality and share dilution against junk tenant floods.
-    fn tenant_index(&mut self, tenant: &str, policy: &KeyedLoadShedPolicy) -> usize {
+    fn tenant_index(&mut self, tenant: &str, policy: &LoadShedPolicy) -> usize {
         if let Some(&i) = self.index.get(tenant) {
             return i;
         }
@@ -441,42 +252,42 @@ impl KeyedSync {
         }
         // Population full: the overflow bucket (interned on first use;
         // the population is thus bounded by `max_tenants + 1`).
-        if let Some(&i) = self.index.get(ANONYMOUS_TENANT) {
-            return i;
-        }
         self.intern(ANONYMOUS_TENANT, policy.default_weight)
     }
 }
 
-struct KeyedInner {
-    policy: KeyedLoadShedPolicy,
-    sync: Mutex<KeyedSync>,
+struct AdmissionInner {
+    policy: LoadShedPolicy,
+    sync: Mutex<AdmissionSync>,
     admissions: AtomicU64,
+    /// Cached verdict of the periodic watermark sample.
     over_watermark: AtomicBool,
     admitted: Arc<Counter>,
     shed: Arc<Counter>,
     shed_expired: Arc<Counter>,
 }
 
-/// Enforces a [`KeyedLoadShedPolicy`]: the runtime shell around the
-/// pure [`KeyedAdmissionMachine`]. Cheap to clone; a gateway's HTTP
-/// and P2PS fronts share one controller so the fair-share arithmetic
-/// spans both bindings.
+/// Enforces a [`LoadShedPolicy`]: the runtime shell around the pure
+/// [`AdmissionMachine`]. Cheap to clone (all state behind one `Arc`);
+/// both bindings of a peer may share one controller so the in-flight
+/// cap is per-peer, not per-transport, and a gateway's HTTP and P2PS
+/// fronts share one so the fair-share arithmetic spans both.
 #[derive(Clone)]
-pub struct KeyedAdmissionController {
-    inner: Arc<KeyedInner>,
+pub struct AdmissionController {
+    inner: Arc<AdmissionInner>,
 }
 
-impl KeyedAdmissionController {
-    pub fn new(policy: KeyedLoadShedPolicy) -> Self {
+impl AdmissionController {
+    pub fn new(policy: LoadShedPolicy) -> Self {
         let registry = telemetry::global();
-        let machine = KeyedAdmissionMachine {
+        let machine = AdmissionMachine {
             global_cap: policy.global_max_in_flight as u64,
             weights: Vec::new(),
             tenant_cap: policy.tenant_max_in_flight as u64,
+            max_queue_depth: policy.max_queue_depth as u64,
         };
-        let mut sync = KeyedSync {
-            state: machine.initial(),
+        let mut sync = AdmissionSync {
+            state: AdmissionState::default(),
             machine,
             tenants: Vec::new(),
             index: HashMap::new(),
@@ -494,8 +305,8 @@ impl KeyedAdmissionController {
             }
         }
         let prefix = &policy.counter_prefix;
-        KeyedAdmissionController {
-            inner: Arc::new(KeyedInner {
+        AdmissionController {
+            inner: Arc::new(AdmissionInner {
                 admitted: registry.counter(format!("{prefix}.admitted")),
                 shed: registry.counter(format!("{prefix}.shed")),
                 shed_expired: registry.counter(format!("{prefix}.shed_expired")),
@@ -507,7 +318,7 @@ impl KeyedAdmissionController {
         }
     }
 
-    pub fn policy(&self) -> &KeyedLoadShedPolicy {
+    pub fn policy(&self) -> &LoadShedPolicy {
         &self.inner.policy
     }
 
@@ -520,6 +331,7 @@ impl KeyedAdmissionController {
             .unwrap_or(0)
     }
 
+    /// Requests currently admitted and unanswered, over every tenant.
     pub fn total_in_flight(&self) -> usize {
         self.inner.sync.lock().state.total() as usize
     }
@@ -537,33 +349,23 @@ impl KeyedAdmissionController {
         self.inner.sync.lock().tenants.clone()
     }
 
+    /// Enter drain mode: every subsequent admission is refused (with
+    /// the retry hint) while already-admitted work runs to completion.
     pub fn start_draining(&self) {
-        let mut sync = self.inner.sync.lock();
-        let (next, _) = sync.machine.step_apportioned(
-            &sync.guaranteed,
-            &sync.state,
-            &KeyedAdmissionEvent::BeginDrain,
-        );
-        sync.state = next;
+        self.inner.sync.lock().step(&AdmissionEvent::BeginDrain);
     }
 
     pub fn stop_draining(&self) {
-        let mut sync = self.inner.sync.lock();
-        let (next, _) = sync.machine.step_apportioned(
-            &sync.guaranteed,
-            &sync.state,
-            &KeyedAdmissionEvent::EndDrain,
-        );
-        sync.state = next;
+        self.inner.sync.lock().step(&AdmissionEvent::EndDrain);
     }
 
     pub fn is_draining(&self) -> bool {
         self.inner.sync.lock().state.draining
     }
 
-    /// Same sampled-watermark scheme as the global controller: re-read
-    /// the p99 dispatch queue wait every 64 admissions, cache the
-    /// verdict, hand the machine a boolean observation.
+    /// The shell's half of the watermark check: sample the p99 queue
+    /// wait every 2^[`WATERMARK_SAMPLE_SHIFT`] admissions, cache the
+    /// verdict, and hand the machine a plain boolean observation.
     fn observe_watermark(&self) -> bool {
         let Some(watermark) = self.inner.policy.queue_wait_watermark else {
             return false;
@@ -580,46 +382,50 @@ impl KeyedAdmissionController {
         self.inner.over_watermark.load(Ordering::Relaxed)
     }
 
-    /// Admit one request for `tenant` or shed it with a per-tenant
-    /// retry hint: the base hint scaled by how far over its guaranteed
-    /// share the tenant already is, so a flooding tenant is told to
-    /// back off harder than one shed by transient global pressure.
+    /// Admit one request for `tenant` or shed it. `queue_depth` is the
+    /// host's current dispatch-queue depth (pass 0 when not
+    /// applicable); `deadline` is the caller's propagated deadline,
+    /// shed immediately when already expired (the caller has given up
+    /// — answering quickly matters more than answering at all).
+    ///
+    /// A shed carries a per-tenant retry hint: the base hint scaled by
+    /// how far over its guaranteed share the tenant already is, so a
+    /// flooding tenant is told to back off harder than one shed by
+    /// transient global pressure.
     pub fn try_admit(
         &self,
         tenant: &str,
+        queue_depth: usize,
         deadline: Option<Instant>,
-    ) -> Result<KeyedAdmissionPermit, WspError> {
-        let event_expired = deadline.is_some_and(|d| Instant::now() >= d);
+    ) -> Result<AdmissionPermit, WspError> {
+        let deadline_expired = deadline.is_some_and(|d| Instant::now() >= d);
         let over_watermark = self.observe_watermark();
         let mut sync = self.inner.sync.lock();
         let t = sync.tenant_index(tenant, &self.inner.policy);
-        let event = KeyedAdmissionEvent::Admit {
+        let event = AdmissionEvent::Admit {
             tenant: t,
-            deadline_expired: event_expired,
+            queue_depth: queue_depth as u64,
+            deadline_expired,
             over_watermark,
         };
-        let (next, effects) = sync
-            .machine
-            .step_apportioned(&sync.guaranteed, &sync.state, &event);
-        sync.state = next;
-        match effects.first() {
-            Some(KeyedAdmissionEffect::Admitted { .. }) => {
+        match sync.step(&event) {
+            Some(AdmissionEffect::Admitted { .. }) => {
                 drop(sync);
                 self.inner.admitted.incr();
-                Ok(KeyedAdmissionPermit {
+                Ok(AdmissionPermit {
                     controller: self.clone(),
                     tenant: t,
                 })
             }
-            Some(KeyedAdmissionEffect::Shed { reason, .. }) => {
-                let hint = self.retry_hint_locked(&sync, t, *reason);
+            Some(AdmissionEffect::Shed { reason, .. }) => {
+                let hint = self.retry_hint_locked(&sync, t, reason);
                 // Counters are named by the *interned* slot, so junk
                 // tenant names beyond `max_tenants` all land on the
                 // anonymous bucket instead of minting fresh series.
                 let bucket = sync.tenants[t].clone();
                 drop(sync);
                 self.inner.shed.incr();
-                if *reason == KeyedShedReason::DeadlineExpired {
+                if reason == ShedReason::DeadlineExpired {
                     self.inner.shed_expired.incr();
                 }
                 telemetry::global()
@@ -632,37 +438,23 @@ impl KeyedAdmissionController {
                     retry_after_ms: Some(hint),
                 })
             }
-            other => unreachable!("keyed Admit produced {other:?}"),
+            other => unreachable!("Admit produced {other:?}"),
         }
     }
 
     /// The per-tenant hint: `base * (1 + in_flight/guaranteed)` for
     /// sheds the tenant caused itself (over its share or ceiling), the
     /// plain base for global conditions. Monotone in tenant pressure.
-    fn retry_hint_locked(&self, sync: &KeyedSync, tenant: usize, reason: KeyedShedReason) -> u64 {
+    fn retry_hint_locked(&self, sync: &AdmissionSync, tenant: usize, reason: ShedReason) -> u64 {
         let base = self.inner.policy.retry_after.as_millis() as u64;
         match reason {
-            KeyedShedReason::TenantCap | KeyedShedReason::FairShareReserve => {
+            ShedReason::TenantCap | ShedReason::FairShareReserve => {
                 let f = sync.state.in_flight[tenant];
                 let g = sync.guaranteed[tenant].max(1);
                 base * (1 + f / g).min(8)
             }
             _ => base,
         }
-    }
-
-    fn release(&self, tenant: usize) {
-        let mut sync = self.inner.sync.lock();
-        let (next, effects) = sync.machine.step_apportioned(
-            &sync.guaranteed,
-            &sync.state,
-            &KeyedAdmissionEvent::Release { tenant },
-        );
-        sync.state = next;
-        debug_assert!(
-            !effects.contains(&KeyedAdmissionEffect::PermitUnderflow),
-            "keyed permit released with nothing in flight"
-        );
     }
 
     /// Block until every tenant's work has finished or `deadline`
@@ -678,24 +470,36 @@ impl KeyedAdmissionController {
     }
 }
 
-/// RAII proof of keyed admission: holds one of its tenant's in-flight
-/// slots, released on drop.
-pub struct KeyedAdmissionPermit {
-    controller: KeyedAdmissionController,
+/// RAII proof of admission: holds one of its tenant's in-flight slots,
+/// released on drop (success, fault and panic paths alike).
+pub struct AdmissionPermit {
+    controller: AdmissionController,
     tenant: usize,
 }
 
-impl std::fmt::Debug for KeyedAdmissionPermit {
+impl std::fmt::Debug for AdmissionPermit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KeyedAdmissionPermit")
+        f.debug_struct("AdmissionPermit")
             .field("tenant", &self.tenant)
             .finish()
     }
 }
 
-impl Drop for KeyedAdmissionPermit {
+impl Drop for AdmissionPermit {
     fn drop(&mut self) {
-        self.controller.release(self.tenant);
+        let effect = self
+            .controller
+            .inner
+            .sync
+            .lock()
+            .step(&AdmissionEvent::Release {
+                tenant: self.tenant,
+            });
+        debug_assert_ne!(
+            effect,
+            Some(AdmissionEffect::PermitUnderflow),
+            "permit released with nothing in flight"
+        );
     }
 }
 
@@ -778,19 +582,27 @@ mod tests {
         let ctl = AdmissionController::new(LoadShedPolicy::unlimited());
         let mut permits = Vec::new();
         for depth in 0..100 {
-            permits.push(ctl.try_admit(depth, None).expect("admit"));
+            permits.push(ctl.try_admit(ANONYMOUS_TENANT, depth, None).expect("admit"));
         }
-        assert_eq!(ctl.in_flight(), 100);
+        assert_eq!(ctl.total_in_flight(), 100);
+        // One effective tenant: a named caller shares the only slot.
+        permits.push(ctl.try_admit("named", 0, None).expect("admit"));
+        assert_eq!(ctl.tenants(), vec![ANONYMOUS_TENANT.to_owned()]);
+        assert_eq!(ctl.in_flight(ANONYMOUS_TENANT), 101);
         drop(permits);
-        assert_eq!(ctl.in_flight(), 0);
+        assert_eq!(ctl.total_in_flight(), 0);
     }
 
     #[test]
     fn in_flight_cap_sheds_and_recovers() {
+        let series = telemetry::global().counter("admission.anonymous.shed");
+        let before = series.get();
         let ctl = AdmissionController::new(LoadShedPolicy::bounded(2, usize::MAX));
-        let a = ctl.try_admit(0, None).expect("first");
-        let _b = ctl.try_admit(0, None).expect("second");
-        let shed = ctl.try_admit(0, None).expect_err("third must shed");
+        let a = ctl.try_admit(ANONYMOUS_TENANT, 0, None).expect("first");
+        let _b = ctl.try_admit(ANONYMOUS_TENANT, 0, None).expect("second");
+        let shed = ctl
+            .try_admit(ANONYMOUS_TENANT, 0, None)
+            .expect_err("third must shed");
         assert!(
             matches!(
                 shed,
@@ -800,16 +612,21 @@ mod tests {
             ),
             "{shed:?}"
         );
+        assert!(
+            series.get() > before,
+            "the shed lands on admission.anonymous.shed"
+        );
         drop(a);
-        ctl.try_admit(0, None).expect("slot freed by drop");
+        ctl.try_admit(ANONYMOUS_TENANT, 0, None)
+            .expect("slot freed by drop");
     }
 
     #[test]
     fn queue_depth_cap_sheds() {
         let ctl = AdmissionController::new(LoadShedPolicy::bounded(usize::MAX, 4));
-        assert!(ctl.try_admit(3, None).is_ok());
+        assert!(ctl.try_admit(ANONYMOUS_TENANT, 3, None).is_ok());
         assert!(matches!(
-            ctl.try_admit(4, None),
+            ctl.try_admit(ANONYMOUS_TENANT, 4, None),
             Err(WspError::Overloaded { .. })
         ));
     }
@@ -819,28 +636,34 @@ mod tests {
         let ctl = AdmissionController::new(LoadShedPolicy::unlimited());
         let expired = Instant::now() - Duration::from_millis(1);
         assert!(matches!(
-            ctl.try_admit(0, Some(expired)),
+            ctl.try_admit(ANONYMOUS_TENANT, 0, Some(expired)),
             Err(WspError::Overloaded { .. })
         ));
         let live = Instant::now() + Duration::from_secs(5);
-        assert!(ctl.try_admit(0, Some(live)).is_ok());
+        assert!(ctl.try_admit(ANONYMOUS_TENANT, 0, Some(live)).is_ok());
     }
 
     #[test]
     fn draining_refuses_new_work_but_keeps_permits() {
         let ctl = AdmissionController::new(LoadShedPolicy::unlimited());
-        let permit = ctl.try_admit(0, None).expect("before drain");
+        let permit = ctl
+            .try_admit(ANONYMOUS_TENANT, 0, None)
+            .expect("before drain");
         ctl.start_draining();
         assert!(matches!(
-            ctl.try_admit(0, None),
+            ctl.try_admit(ANONYMOUS_TENANT, 0, None),
             Err(WspError::Overloaded { .. })
         ));
-        assert_eq!(ctl.in_flight(), 1, "in-flight work unaffected by drain");
+        assert_eq!(
+            ctl.total_in_flight(),
+            1,
+            "in-flight work unaffected by drain"
+        );
         drop(permit);
         let idle_by = Instant::now() + Duration::from_secs(1);
         assert_eq!(ctl.await_idle(idle_by), 0);
         ctl.stop_draining();
-        assert!(ctl.try_admit(0, None).is_ok());
+        assert!(ctl.try_admit(ANONYMOUS_TENANT, 0, None).is_ok());
     }
 
     #[test]
@@ -854,8 +677,8 @@ mod tests {
                 let peak = peak.clone();
                 std::thread::spawn(move || {
                     for _ in 0..200 {
-                        if let Ok(permit) = ctl.try_admit(0, None) {
-                            let seen = ctl.in_flight();
+                        if let Ok(permit) = ctl.try_admit(ANONYMOUS_TENANT, 0, None) {
+                            let seen = ctl.total_in_flight();
                             peak.fetch_max(seen, Ordering::SeqCst);
                             assert!(seen <= cap, "cap breached: {seen}");
                             drop(permit);
@@ -867,7 +690,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(ctl.in_flight(), 0);
+        assert_eq!(ctl.total_in_flight(), 0);
         assert!(peak.load(Ordering::SeqCst) >= 1);
     }
 
@@ -903,14 +726,14 @@ mod tests {
 
     #[test]
     fn keyed_guaranteed_shares_are_always_admitted() {
-        let ctl = KeyedAdmissionController::new(
-            KeyedLoadShedPolicy::fair(4)
+        let ctl = AdmissionController::new(
+            LoadShedPolicy::fair(4)
                 .with_weight("hot", 1)
                 .with_weight("cold", 1),
         );
         // Hot takes everything it can get.
         let mut hot = Vec::new();
-        while let Ok(p) = ctl.try_admit("hot", None) {
+        while let Ok(p) = ctl.try_admit("hot", 0, None) {
             hot.push(p);
         }
         assert_eq!(
@@ -919,26 +742,29 @@ mod tests {
             "hot stops at its share + 0 reserve"
         );
         // Cold's guarantee is untouched: both its permits admit.
-        let c1 = ctl.try_admit("cold", None).expect("cold share 1");
-        let _c2 = ctl.try_admit("cold", None).expect("cold share 2");
+        let c1 = ctl.try_admit("cold", 0, None).expect("cold share 1");
+        let _c2 = ctl.try_admit("cold", 0, None).expect("cold share 2");
         assert_eq!(ctl.total_in_flight(), 4);
-        assert!(ctl.try_admit("cold", None).is_err(), "global cap reached");
+        assert!(
+            ctl.try_admit("cold", 0, None).is_err(),
+            "global cap reached"
+        );
         drop(c1);
-        assert!(ctl.try_admit("cold", None).is_ok(), "slot freed by drop");
+        assert!(ctl.try_admit("cold", 0, None).is_ok(), "slot freed by drop");
     }
 
     #[test]
     fn keyed_borrowing_uses_idle_capacity_but_not_the_reserve() {
-        let ctl = KeyedAdmissionController::new(
-            KeyedLoadShedPolicy::fair(6)
+        let ctl = AdmissionController::new(
+            LoadShedPolicy::fair(6)
                 .with_weight("a", 1)
                 .with_weight("b", 1),
         );
         // b holds one of its three guaranteed permits; reserve is 2, so
         // the total may grow to 6 - 2 = 4, leaving a room for three.
-        let _b = ctl.try_admit("b", None).unwrap();
+        let _b = ctl.try_admit("b", 0, None).unwrap();
         let mut a = Vec::new();
-        while let Ok(p) = ctl.try_admit("a", None) {
+        while let Ok(p) = ctl.try_admit("a", 0, None) {
             a.push(p);
         }
         assert_eq!(ctl.in_flight("a"), 3);
@@ -946,30 +772,30 @@ mod tests {
         // Once b releases, the freed reserve is still b's: a remains
         // capped until shares genuinely free up.
         drop(_b);
-        assert!(ctl.try_admit("a", None).is_err());
+        assert!(ctl.try_admit("a", 0, None).is_err());
     }
 
     #[test]
     fn keyed_new_tenants_reapportion_shares() {
-        let ctl = KeyedAdmissionController::new(KeyedLoadShedPolicy::fair(6));
-        let _x = ctl.try_admit("x", None).unwrap();
+        let ctl = AdmissionController::new(LoadShedPolicy::fair(6));
+        let _x = ctl.try_admit("x", 0, None).unwrap();
         assert_eq!(ctl.guaranteed_share("x"), 6, "alone, x owns the cap");
-        let _y = ctl.try_admit("y", None).unwrap();
+        let _y = ctl.try_admit("y", 0, None).unwrap();
         assert_eq!(ctl.guaranteed_share("x"), 3, "a second tenant halves it");
         assert_eq!(ctl.guaranteed_share("y"), 3);
     }
 
     #[test]
     fn keyed_retry_hint_scales_with_tenant_pressure() {
-        let ctl = KeyedAdmissionController::new(
-            KeyedLoadShedPolicy::fair(4)
+        let ctl = AdmissionController::new(
+            LoadShedPolicy::fair(4)
                 .with_weight("hog", 1)
                 .with_weight("meek", 3)
                 .with_retry_after(Duration::from_millis(50)),
         );
         let mut held = Vec::new();
         loop {
-            match ctl.try_admit("hog", None) {
+            match ctl.try_admit("hog", 0, None) {
                 Ok(p) => held.push(p),
                 Err(WspError::Overloaded { retry_after_ms }) => {
                     let hog_hint = retry_after_ms.unwrap();
@@ -984,10 +810,10 @@ mod tests {
         }
         // A shed caused by global pressure keeps the base hint.
         let mut meek = Vec::new();
-        while let Ok(p) = ctl.try_admit("meek", None) {
+        while let Ok(p) = ctl.try_admit("meek", 0, None) {
             meek.push(p);
         }
-        match ctl.try_admit("meek", None) {
+        match ctl.try_admit("meek", 0, None) {
             Err(WspError::Overloaded { retry_after_ms }) => {
                 assert_eq!(retry_after_ms, Some(50));
             }
@@ -997,22 +823,22 @@ mod tests {
 
     #[test]
     fn keyed_expired_deadline_sheds_and_draining_refuses() {
-        let ctl = KeyedAdmissionController::new(KeyedLoadShedPolicy::fair(8));
+        let ctl = AdmissionController::new(LoadShedPolicy::fair(8));
         let expired = Instant::now() - Duration::from_millis(1);
-        assert!(ctl.try_admit("t", Some(expired)).is_err());
+        assert!(ctl.try_admit("t", 0, Some(expired)).is_err());
         ctl.start_draining();
         assert!(ctl.is_draining());
-        assert!(ctl.try_admit("t", None).is_err());
+        assert!(ctl.try_admit("t", 0, None).is_err());
         ctl.stop_draining();
-        let permit = ctl.try_admit("t", None).unwrap();
+        let permit = ctl.try_admit("t", 0, None).unwrap();
         drop(permit);
         assert_eq!(ctl.await_idle(Instant::now() + Duration::from_secs(1)), 0);
     }
 
     #[test]
     fn keyed_concurrent_floods_never_breach_either_cap() {
-        let ctl = KeyedAdmissionController::new(
-            KeyedLoadShedPolicy::fair(8)
+        let ctl = AdmissionController::new(
+            LoadShedPolicy::fair(8)
                 .with_weight("a", 1)
                 .with_weight("b", 1)
                 .with_tenant_cap(6),
@@ -1023,7 +849,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let tenant = if i % 2 == 0 { "a" } else { "b" };
                     for _ in 0..300 {
-                        if let Ok(permit) = ctl.try_admit(tenant, None) {
+                        if let Ok(permit) = ctl.try_admit(tenant, 0, None) {
                             assert!(ctl.total_in_flight() <= 8);
                             assert!(ctl.in_flight(tenant) <= 6);
                             drop(permit);
@@ -1042,20 +868,20 @@ mod tests {
     fn keyed_per_tenant_shed_counters_move() {
         let t = telemetry::global();
         let before = t.counter("admission.tenant.noisy.shed").get();
-        let ctl = KeyedAdmissionController::new(KeyedLoadShedPolicy::fair(1));
-        let _held = ctl.try_admit("noisy", None).unwrap();
-        assert!(ctl.try_admit("noisy", None).is_err());
+        let ctl = AdmissionController::new(LoadShedPolicy::fair(1));
+        let _held = ctl.try_admit("noisy", 0, None).unwrap();
+        assert!(ctl.try_admit("noisy", 0, None).is_err());
         assert!(t.counter("admission.tenant.noisy.shed").get() > before);
     }
 
     #[test]
     fn keyed_tenant_population_is_bounded_by_the_policy_cap() {
-        let ctl = KeyedAdmissionController::new(KeyedLoadShedPolicy::fair(8).with_max_tenants(2));
-        let _a = ctl.try_admit("a", None).unwrap();
-        let _b = ctl.try_admit("b", None).unwrap();
+        let ctl = AdmissionController::new(LoadShedPolicy::fair(8).with_max_tenants(2));
+        let _a = ctl.try_admit("a", 0, None).unwrap();
+        let _b = ctl.try_admit("b", 0, None).unwrap();
         // A flood of junk tenant names must not grow the interner.
         for i in 0..100 {
-            let _ = ctl.try_admit(&format!("junk-{i}"), None);
+            let _ = ctl.try_admit(&format!("junk-{i}"), 0, None);
         }
         let tenants = ctl.tenants();
         assert_eq!(
@@ -1073,15 +899,15 @@ mod tests {
 
     #[test]
     fn keyed_overflow_tenants_share_the_anonymous_slot() {
-        let ctl = KeyedAdmissionController::new(KeyedLoadShedPolicy::fair(4).with_max_tenants(1));
-        let _a = ctl.try_admit("a", None).unwrap();
-        let p = ctl.try_admit("flood-1", None).unwrap();
+        let ctl = AdmissionController::new(LoadShedPolicy::fair(4).with_max_tenants(1));
+        let _a = ctl.try_admit("a", 0, None).unwrap();
+        let p = ctl.try_admit("flood-1", 0, None).unwrap();
         assert_eq!(
             ctl.in_flight(ANONYMOUS_TENANT),
             1,
             "overflow permits are accounted to the shared bucket"
         );
-        let _q = ctl.try_admit("flood-2", None).unwrap();
+        let _q = ctl.try_admit("flood-2", 0, None).unwrap();
         assert_eq!(ctl.in_flight(ANONYMOUS_TENANT), 2);
         drop(p);
         assert_eq!(ctl.in_flight(ANONYMOUS_TENANT), 1);
@@ -1091,14 +917,14 @@ mod tests {
     fn keyed_junk_tenant_sheds_count_against_the_anonymous_bucket() {
         let t = telemetry::global();
         let prefix = "admission.bucket.test";
-        let ctl = KeyedAdmissionController::new(
-            KeyedLoadShedPolicy::fair(1)
+        let ctl = AdmissionController::new(
+            LoadShedPolicy::fair(1)
                 .with_max_tenants(1)
                 .with_counter_prefix(prefix),
         );
-        let _held = ctl.try_admit("real", None).unwrap();
+        let _held = ctl.try_admit("real", 0, None).unwrap();
         let before = t.counter(format!("{prefix}.anonymous.shed")).get();
-        assert!(ctl.try_admit("junk-name", None).is_err());
+        assert!(ctl.try_admit("junk-name", 0, None).is_err());
         assert!(
             t.counter(format!("{prefix}.anonymous.shed")).get() > before,
             "the shed series is named by the interned bucket"

@@ -7,7 +7,7 @@
 //!    registry's per-shard data versions and drop cache entries whose
 //!    shard changed (see [`GatewayCaches::revalidate`]);
 //! 2. **admit** — per-tenant fair-share admission via
-//!    [`KeyedAdmissionController`]; a shed carries a per-tenant
+//!    [`AdmissionController`]; a shed carries a per-tenant
 //!    `Retry-After` hint and never reaches discovery or a backend;
 //! 3. **response cache** — for operations the deployer declared
 //!    idempotent, a byte-equal request replays the cached response
@@ -34,7 +34,7 @@ use wsp_core::overload::{
     busy_fault_reason, deadline_in_ms, ANONYMOUS_TENANT, DEADLINE_HEADER, DEADLINE_SOAP_HEADER,
     RETRY_AFTER_MS_HEADER, TENANT_HEADER, TENANT_SOAP_HEADER,
 };
-use wsp_core::{telemetry, KeyedAdmissionController, KeyedLoadShedPolicy, WspError};
+use wsp_core::{telemetry, AdmissionController, LoadShedPolicy, WspError};
 use wsp_http::{ConnectionPool, Request, Response, Router, TcpServer};
 use wsp_p2ps::{P2psMessage, PipeTcpConfig, PipeTcpServer};
 use wsp_registry::{RegistryError, ShardedUddiClient};
@@ -64,7 +64,7 @@ impl IdempotentSet {
 #[derive(Clone)]
 pub struct GatewayConfig {
     pub cache: GatewayCacheConfig,
-    pub admission: KeyedLoadShedPolicy,
+    pub admission: LoadShedPolicy,
     pub idempotent: IdempotentSet,
     /// Distinct backends tried before a request is failed over to
     /// `Unavailable`.
@@ -78,7 +78,7 @@ impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
             cache: GatewayCacheConfig::default(),
-            admission: KeyedLoadShedPolicy::fair(64).with_counter_prefix("gateway.tenant"),
+            admission: LoadShedPolicy::fair(64).with_counter_prefix("gateway.tenant"),
             idempotent: IdempotentSet::default(),
             backend_attempts: 3,
             revalidate_interval: Duration::from_millis(250),
@@ -87,7 +87,7 @@ impl Default for GatewayConfig {
 }
 
 impl GatewayConfig {
-    pub fn with_admission(mut self, policy: KeyedLoadShedPolicy) -> Self {
+    pub fn with_admission(mut self, policy: LoadShedPolicy) -> Self {
         self.admission = policy;
         self
     }
@@ -137,7 +137,7 @@ pub struct GatewayReply {
 struct GwInner {
     registry: ShardedUddiClient,
     caches: GatewayCaches,
-    admission: KeyedAdmissionController,
+    admission: AdmissionController,
     pools: BackendPools,
     /// Keep-alive connections to the backends, shared by invokes and
     /// WSDL fetches.
@@ -167,7 +167,7 @@ impl Gateway {
             inner: Arc::new(GwInner {
                 registry,
                 caches,
-                admission: KeyedAdmissionController::new(cfg.admission.clone()),
+                admission: AdmissionController::new(cfg.admission.clone()),
                 pools: BackendPools::default(),
                 http: ConnectionPool::new(),
                 idempotent: cfg.idempotent.clone(),
@@ -182,7 +182,7 @@ impl Gateway {
         &self.inner.caches
     }
 
-    pub fn admission(&self) -> &KeyedAdmissionController {
+    pub fn admission(&self) -> &AdmissionController {
         &self.inner.admission
     }
 
@@ -242,7 +242,7 @@ impl Gateway {
         let _permit = self
             .inner
             .admission
-            .try_admit(tenant, deadline)
+            .try_admit(tenant, 0, deadline)
             .map_err(shed_of)?;
 
         let text = std::str::from_utf8(raw)
@@ -365,7 +365,7 @@ impl Gateway {
         let _permit = self
             .inner
             .admission
-            .try_admit(tenant, None)
+            .try_admit(tenant, 0, None)
             .map_err(shed_of)?;
         if let Some(body) = self.inner.caches.get_wsdl(service) {
             return Ok(GatewayReply {

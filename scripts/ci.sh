@@ -114,9 +114,10 @@ WSP_FAULT_SEED=7 timeout 300 cargo test -q --release -p wsp-integration-tests --
 echo "==> E16 artifact (BENCH_E16.json, quick)"
 timeout 300 cargo run -q --release -p wsp-bench --bin e16 -- quick
 
-# Mediation gateway (PR 10): the keyed (per-tenant) admission machine
-# is exhausted by the wsp-check run above and its ignore-the-reserve
-# mutant condemned by the mutation pass. The gateway fault matrix
+# Mediation gateway (PR 10): the gateway's per-tenant shares run on the
+# one admission machine, exhausted by the wsp-check run above with two
+# weighted tenants, and its ignore-the-reserve mutant is condemned by
+# the mutation pass. The gateway fault matrix
 # re-runs the integration suite — byte-identical cache replays,
 # invalidation-on-republish without waiting out the TTL, backend
 # crash failover, total-loss route invalidation, registry view-change

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use wsp_core::overload::{KeyedLoadShedPolicy, RETRY_AFTER_MS_HEADER, TENANT_HEADER};
+use wsp_core::overload::{LoadShedPolicy, RETRY_AFTER_MS_HEADER, TENANT_HEADER};
 use wsp_core::telemetry;
 use wsp_gateway::{Gateway, GatewayCacheConfig, GatewayConfig, GatewayError};
 use wsp_http::{http_call_uri, Request, Response, Router, TcpServer};
@@ -355,7 +355,7 @@ fn hot_tenant_flood_cannot_starve_the_cold_tenant() {
     let gateway = Gateway::new(
         eager_client(&cluster),
         GatewayConfig::default().with_admission(
-            KeyedLoadShedPolicy::fair(4)
+            LoadShedPolicy::fair(4)
                 .with_weight("hot", 1)
                 .with_weight("cold", 1)
                 .with_counter_prefix("gateway.tenant"),
@@ -368,7 +368,7 @@ fn hot_tenant_flood_cannot_starve_the_cold_tenant() {
     // (its guaranteed share; borrowing is blocked by the cold tenant's
     // reserve).
     let mut held = Vec::new();
-    while let Ok(permit) = gateway.admission().try_admit("hot", None) {
+    while let Ok(permit) = gateway.admission().try_admit("hot", 0, None) {
         held.push(permit);
         assert!(held.len() <= 4, "admission must be bounded");
     }
@@ -426,7 +426,7 @@ fn p2ps_front_mediates_and_sheds_with_busy_faults() {
     let gateway = Gateway::new(
         eager_client(&cluster),
         GatewayConfig::default().with_admission(
-            KeyedLoadShedPolicy::fair(2)
+            LoadShedPolicy::fair(2)
                 .with_weight("pipe-hot", 1)
                 .with_weight("pipe-cold", 1)
                 .with_counter_prefix("gateway.tenant"),
@@ -466,7 +466,7 @@ fn p2ps_front_mediates_and_sheds_with_busy_faults() {
 
     // Flood the hot tenant's share, then observe the busy fault.
     let _held: Vec<_> =
-        std::iter::from_fn(|| gateway.admission().try_admit("pipe-hot", None).ok()).collect();
+        std::iter::from_fn(|| gateway.admission().try_admit("pipe-hot", 0, None).ok()).collect();
     let fault = call("pipe-hot");
     let fault = fault.fault_body().expect("a shed surfaces as a SOAP fault");
     assert!(

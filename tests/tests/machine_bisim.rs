@@ -18,13 +18,7 @@ use wsp_core::health::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 use wsp_core::machines::admission::{AdmissionEffect, AdmissionEvent, AdmissionMachine};
 use wsp_core::machines::breaker::{Admit, BreakerEffect, BreakerEvent, BreakerMachine, Phase};
 use wsp_core::machines::correlation::{CallPhase, CorrelationEvent, CorrelationMachine};
-use wsp_core::machines::keyed_admission::{
-    KeyedAdmissionEffect, KeyedAdmissionEvent, KeyedAdmissionMachine,
-};
-use wsp_core::overload::{
-    AdmissionController, AdmissionPermit, KeyedAdmissionController, KeyedAdmissionPermit,
-    KeyedLoadShedPolicy, LoadShedPolicy,
-};
+use wsp_core::overload::{AdmissionController, AdmissionPermit, LoadShedPolicy, ANONYMOUS_TENANT};
 use wsp_p2ps::rpc::{decode_request, encode_response};
 use wsp_p2ps::{PeerId, PipeAdvertisement, RpcCorrelator};
 use wsp_simnet::{step_mut, Machine};
@@ -143,16 +137,22 @@ fn arb_admission_ops() -> impl Strategy<Value = Vec<(u8, u8, bool)>> {
     proptest::collection::vec((0u8..4, 0u8..3, any::<bool>()), 0..60)
 }
 
+fn arb_keyed_ops() -> impl Strategy<Value = Vec<(u8, u8, u8, bool)>> {
+    // (op selector, tenant 0..3, queue depth 0..3, deadline already expired?)
+    proptest::collection::vec((0u8..4, 0u8..3, 0u8..3, any::<bool>()), 0..80)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The one-tenant controller the bindings run (`bounded`) against
+    /// the one-tenant machine: every request lands on the anonymous
+    /// slot, the cap sheds as `GlobalCap` and every shed carries the
+    /// unscaled 100 ms hint.
     #[test]
     fn admission_controller_bisimulates_admission_machine(ops in arb_admission_ops()) {
         let shell = AdmissionController::new(LoadShedPolicy::bounded(2, 1));
-        let machine = AdmissionMachine {
-            max_in_flight: 2,
-            max_queue_depth: 1,
-        };
+        let machine = AdmissionMachine::single_tenant(2, 1);
         let mut mirror = machine.initial();
         let mut permits: Vec<AdmissionPermit> = Vec::new();
 
@@ -166,26 +166,31 @@ proptest! {
                     } else {
                         Some(Instant::now() + Duration::from_secs(3600))
                     };
-                    let got = shell.try_admit(queue_depth as usize, deadline);
+                    let got = shell.try_admit(ANONYMOUS_TENANT, queue_depth as usize, deadline);
                     let effects = step_mut(&machine, &mut mirror, &AdmissionEvent::Admit {
+                        tenant: 0,
                         queue_depth: queue_depth as u64,
                         deadline_expired: expired,
                         over_watermark: false,
                     });
                     prop_assert_eq!(
                         got.is_ok(),
-                        effects.contains(&AdmissionEffect::Admitted),
+                        effects.contains(&AdmissionEffect::Admitted { tenant: 0 }),
                         "admit(queue={}, expired={})", queue_depth, expired
                     );
-                    if let Ok(permit) = got {
-                        permits.push(permit);
+                    match got {
+                        Ok(permit) => permits.push(permit),
+                        Err(err) => prop_assert!(matches!(
+                            err,
+                            wsp_core::WspError::Overloaded { retry_after_ms: Some(100) }
+                        )),
                     }
                 }
                 1 => {
                     // Release = drop a held permit (RAII), mirrored only
                     // when the shell actually holds one.
                     if permits.pop().is_some() {
-                        step_mut(&machine, &mut mirror, &AdmissionEvent::Release);
+                        step_mut(&machine, &mut mirror, &AdmissionEvent::Release { tenant: 0 });
                     }
                 }
                 2 => {
@@ -197,47 +202,38 @@ proptest! {
                     step_mut(&machine, &mut mirror, &AdmissionEvent::EndDrain);
                 }
             }
-            prop_assert_eq!(shell.in_flight() as u64, mirror.in_flight);
+            prop_assert_eq!(shell.total_in_flight() as u64, mirror.total());
+            prop_assert_eq!(shell.in_flight(ANONYMOUS_TENANT) as u64, mirror.in_flight[0]);
             prop_assert_eq!(shell.is_draining(), mirror.draining);
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Keyed admission controller ⇔ KeyedAdmissionMachine
-// ---------------------------------------------------------------------------
-
-fn arb_keyed_ops() -> impl Strategy<Value = Vec<(u8, u8, bool)>> {
-    // (op selector, tenant 0..3, deadline already expired?)
-    proptest::collection::vec((0u8..4, 0u8..3, any::<bool>()), 0..80)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The gateway's per-tenant controller is a thin shell over the
-    /// keyed machine: pre-seeding the policy weights pins the tenant
-    /// interning order, so a hand-stepped mirror with the same weight
-    /// vector must agree on every admit verdict and every counter.
+    /// The admission controller is a thin shell over the machine:
+    /// pre-seeding the policy weights pins the tenant interning order,
+    /// so a hand-stepped mirror with the same weight vector must agree
+    /// on every admit verdict and every counter. Queue depths up to 2
+    /// against a queue cap of 1 exercise the queue-depth guard.
     #[test]
     fn keyed_admission_controller_bisimulates_keyed_machine(ops in arb_keyed_ops()) {
-        let shell = KeyedAdmissionController::new(
-            KeyedLoadShedPolicy::fair(4)
+        let shell = AdmissionController::new(LoadShedPolicy {
+            max_queue_depth: 1,
+            ..LoadShedPolicy::fair(4)
                 .with_weight("alpha", 2)
                 .with_weight("beta", 1)
                 .with_weight("gamma", 1)
-                .with_tenant_cap(3),
-        );
+                .with_tenant_cap(3)
+        });
         let names = ["alpha", "beta", "gamma"];
-        let machine = KeyedAdmissionMachine {
+        let machine = AdmissionMachine {
             global_cap: 4,
             weights: vec![2, 1, 1],
             tenant_cap: 3,
+            max_queue_depth: 1,
         };
         let mut mirror = machine.initial();
-        let mut permits: Vec<Vec<KeyedAdmissionPermit>> = vec![Vec::new(), Vec::new(), Vec::new()];
+        let mut permits: Vec<Vec<AdmissionPermit>> = vec![Vec::new(), Vec::new(), Vec::new()];
 
-        for (op, tenant, expired) in ops {
+        for (op, tenant, queue_depth, expired) in ops {
             let t = tenant as usize;
             match op {
                 0 => {
@@ -248,19 +244,20 @@ proptest! {
                     } else {
                         Some(Instant::now() + Duration::from_secs(3600))
                     };
-                    let got = shell.try_admit(names[t], deadline);
-                    let effects = step_mut(&machine, &mut mirror, &KeyedAdmissionEvent::Admit {
+                    let got = shell.try_admit(names[t], queue_depth as usize, deadline);
+                    let effects = step_mut(&machine, &mut mirror, &AdmissionEvent::Admit {
                         tenant: t,
+                        queue_depth: queue_depth as u64,
                         deadline_expired: expired,
                         over_watermark: false,
                     });
                     let admitted = effects
                         .iter()
-                        .any(|e| matches!(e, KeyedAdmissionEffect::Admitted { .. }));
+                        .any(|e| matches!(e, AdmissionEffect::Admitted { .. }));
                     prop_assert_eq!(
                         got.is_ok(),
                         admitted,
-                        "admit(tenant={}, expired={})", names[t], expired
+                        "admit(tenant={}, queue={}, expired={})", names[t], queue_depth, expired
                     );
                     match got {
                         Ok(permit) => permits[t].push(permit),
@@ -277,16 +274,16 @@ proptest! {
                     // Release = drop a held permit (RAII), mirrored only
                     // when the shell actually holds one for this tenant.
                     if permits[t].pop().is_some() {
-                        step_mut(&machine, &mut mirror, &KeyedAdmissionEvent::Release { tenant: t });
+                        step_mut(&machine, &mut mirror, &AdmissionEvent::Release { tenant: t });
                     }
                 }
                 2 => {
                     shell.start_draining();
-                    step_mut(&machine, &mut mirror, &KeyedAdmissionEvent::BeginDrain);
+                    step_mut(&machine, &mut mirror, &AdmissionEvent::BeginDrain);
                 }
                 _ => {
                     shell.stop_draining();
-                    step_mut(&machine, &mut mirror, &KeyedAdmissionEvent::EndDrain);
+                    step_mut(&machine, &mut mirror, &AdmissionEvent::EndDrain);
                 }
             }
             for (i, name) in names.iter().enumerate() {
@@ -322,15 +319,13 @@ proptest! {
     fn keyed_permits_are_conserved_under_random_tenant_traffic(
         ops in proptest::collection::vec((0u8..2, 0u8..4), 0..120),
     ) {
-        let ctl = KeyedAdmissionController::new(
-            KeyedLoadShedPolicy::fair(5).with_tenant_cap(4),
-        );
-        let mut held: HashMap<String, Vec<KeyedAdmissionPermit>> = HashMap::new();
+        let ctl = AdmissionController::new(LoadShedPolicy::fair(5).with_tenant_cap(4));
+        let mut held: HashMap<String, Vec<AdmissionPermit>> = HashMap::new();
         for (op, t) in ops {
             let tenant = format!("tenant-{}", t % 4);
             match op {
                 0 => {
-                    if let Ok(permit) = ctl.try_admit(&tenant, None) {
+                    if let Ok(permit) = ctl.try_admit(&tenant, 0, None) {
                         held.entry(tenant.clone()).or_default().push(permit);
                     }
                 }
@@ -682,11 +677,12 @@ fn peersim_breaker_trace(ops: &[(u8, u64)]) -> EffectTrace {
 fn admission_event_for(op: u8) -> AdmissionEvent {
     match op {
         0 => AdmissionEvent::Admit {
+            tenant: 0,
             queue_depth: 0,
             deadline_expired: false,
             over_watermark: false,
         },
-        1 => AdmissionEvent::Release,
+        1 => AdmissionEvent::Release { tenant: 0 },
         2 => AdmissionEvent::BeginDrain,
         _ => AdmissionEvent::EndDrain,
     }
@@ -694,9 +690,9 @@ fn admission_event_for(op: u8) -> AdmissionEvent {
 
 fn admission_effect_code(e: &AdmissionEffect) -> u8 {
     match e {
-        AdmissionEffect::Admitted => 0,
-        AdmissionEffect::Shed(r) => 1 + *r as u8,
-        AdmissionEffect::Released => 10,
+        AdmissionEffect::Admitted { .. } => 0,
+        AdmissionEffect::Shed { reason, .. } => 1 + *reason as u8,
+        AdmissionEffect::Released { .. } => 10,
         AdmissionEffect::PermitUnderflow => 11,
     }
 }
@@ -706,10 +702,7 @@ fn simnet_admission_trace(ops: &[(u8, u64)]) -> EffectTrace {
     let trace: Rc<RefCell<EffectTrace>> = Rc::default();
     let sink = Rc::clone(&trace);
     let ops = ops.to_vec();
-    let machine = AdmissionMachine {
-        max_in_flight: 2,
-        max_queue_depth: u64::MAX,
-    };
+    let machine = AdmissionMachine::single_tenant(2, u64::MAX);
     let mut state = machine.initial();
     let mut net: SimNet<u64> = SimNet::new(1);
     net.add_node(Box::new(
@@ -767,10 +760,7 @@ impl PeerModel for WheelAdmissionModel {
 
 /// Admission machine under the population front-end.
 fn peersim_admission_trace(ops: &[(u8, u64)]) -> EffectTrace {
-    let machine = AdmissionMachine {
-        max_in_flight: 2,
-        max_queue_depth: u64::MAX,
-    };
+    let machine = AdmissionMachine::single_tenant(2, u64::MAX);
     let state = machine.initial();
     let mut sim = PeerSim::new(
         1,

@@ -313,6 +313,7 @@ fn faulty_invocation_reconstructed_from_correlation_ids() {
 #[test]
 fn metrics_scrape_is_consistent_during_overload_burst() {
     use std::sync::atomic::AtomicBool;
+    use wsp_core::overload::ANONYMOUS_TENANT;
     use wsp_core::{AdmissionController, LoadShedPolicy};
 
     let registry = telemetry::global();
@@ -342,7 +343,7 @@ fn metrics_scrape_is_consistent_during_overload_burst() {
             let mut admitted = 0usize;
             for attempt in 0..ATTEMPTS_PER_THREAD {
                 let queue_depth = if attempt % 4 == 3 { 64 } else { 0 };
-                match controller.try_admit(queue_depth, None) {
+                match controller.try_admit(ANONYMOUS_TENANT, queue_depth, None) {
                     Ok(_permit) => {
                         admitted += 1;
                         histogram.record(rng.random_range(1u64..50_000));
