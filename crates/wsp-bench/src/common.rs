@@ -40,15 +40,19 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Nearest-rank percentile of unsorted f64 samples.
+/// Nearest-rank percentile of unsorted f64 samples
+/// ([`wsp_simnet::metrics::percentile`] after a sort).
 pub fn percentile_f64(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
-    sorted[rank.min(sorted.len()) - 1]
+    sorted.sort_by(f64::total_cmp);
+    wsp_simnet::metrics::percentile(&sorted, p)
+}
+
+/// The middle value of a set of pass results (the upper middle for an
+/// even count) — the robust estimator E10 and E12 report.
+pub fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 #[cfg(test)]

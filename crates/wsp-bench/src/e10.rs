@@ -10,7 +10,7 @@
 //! be fully replayable — attempts, breaker trips, failover, outcome —
 //! from the correlation id of a single call in the `/metrics` text.
 
-use crate::common::{mean, percentile_f64};
+use crate::common::{mean, median, percentile_f64};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -151,11 +151,6 @@ fn ab_pass(
         remaining -= batch;
     }
     samples
-}
-
-fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.total_cmp(b));
-    values[values.len() / 2]
 }
 
 /// The A/B: the same client, the same invoke pipeline, registry off vs

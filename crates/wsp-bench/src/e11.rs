@@ -22,10 +22,10 @@ use std::time::{Duration, Instant};
 use wsp_core::bindings::{HttpUddiBinding, HttpUddiConfig};
 use wsp_core::{EventBus, LoadShedPolicy, Peer};
 use wsp_http::{
-    http_call, HttpSimServer, Request, ResilientSimClient, Response, RetrySchedule, Router,
-    ServerConfig, SimCallOutcome, TcpServer,
+    http_call, HttpSimServer, Request, ResilientSimClient, Response, Router, ServerConfig,
+    SimCallOutcome, TcpServer,
 };
-use wsp_simnet::{Context, Dur, LinkSpec, Node, NodeEvent, NodeId, SimNet, Time};
+use wsp_simnet::{Context, Dur, LinkSpec, Node, NodeEvent, NodeId, SimNet, SimRetry, Time};
 use wsp_wsdl::{OperationDef, ServiceDescriptor, Value, XsdType};
 
 /// One goodput cell: 4× overload with or without a queue bound.
@@ -124,7 +124,7 @@ pub fn goodput(shedding: bool, calls: usize, seed: u64) -> E11Goodput {
     let done = Rc::new(RefCell::new(Vec::new()));
     net.add_node(Box::new(ImpatientLoad {
         server,
-        client: ResilientSimClient::new(RetrySchedule::none(Dur::millis(100))),
+        client: ResilientSimClient::new(SimRetry::once(Dur::millis(100))),
         calls,
         started: 0,
         done: done.clone(),

@@ -21,7 +21,7 @@
 //! per decode) and its output bytes match the previous commit.
 
 use crate::alloc_count;
-use crate::common::{mean, percentile_f64};
+use crate::common::{mean, median, percentile_f64};
 use crate::e12_legacy as legacy;
 use crate::e6;
 use crate::e7::{self, E7Row};
@@ -281,11 +281,6 @@ fn ab_pass(
         (std::mem::take(&mut enc[0]), std::mem::take(&mut dec[0])),
         (std::mem::take(&mut enc[1]), std::mem::take(&mut dec[1])),
     ]
-}
-
-fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.total_cmp(b));
-    values[values.len() / 2]
 }
 
 /// Encode/decode latency A/B over the corpus: five interleaved passes,

@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 use wsp_http::{
     encode_response, frame_len, parse_request, HeadScan, Request, Response, Router, TcpServer,
 };
+use wsp_simnet::metrics::percentile;
 
 /// One measured server mode.
 #[derive(Debug, Clone)]
@@ -101,13 +102,6 @@ fn read_one_response(stream: &mut TcpStream) -> std::io::Result<()> {
         }
         buf.extend_from_slice(&chunk[..n]);
     }
-}
-
-fn percentile(sorted: &[u64], pct: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[(sorted.len() - 1) * pct / 100]
 }
 
 /// Client subprocess body: open `conns` keep-alive connections to
@@ -174,8 +168,8 @@ pub fn client_main(addr: &str, conns: usize, sample: usize) -> ! {
     lat.sort_unstable();
     println!(
         "RESULT p50_us={} p99_us={}",
-        percentile(&lat, 50),
-        percentile(&lat, 99)
+        percentile(&lat, 50.0),
+        percentile(&lat, 99.0)
     );
     std::io::stdout().flush().ok();
     std::process::exit(0);
@@ -411,8 +405,8 @@ mod tests {
     #[test]
     fn percentiles_pick_sane_ranks() {
         let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 50), 50);
-        assert_eq!(percentile(&sorted, 99), 99);
-        assert_eq!(percentile(&[], 99), 0);
+        assert_eq!(percentile(&sorted, 50.0), 50);
+        assert_eq!(percentile(&sorted, 99.0), 99);
+        assert_eq!(percentile::<u64>(&[], 99.0), 0);
     }
 }

@@ -36,6 +36,7 @@ use std::time::{Duration, Instant};
 use wsp_gateway::{Gateway, GatewayCacheConfig, GatewayConfig};
 use wsp_http::{http_call_uri, Request, Response, Router, TcpServer};
 use wsp_registry::{ClusterConfig, RegistryCluster, ShardedUddiClient};
+use wsp_simnet::metrics::percentile;
 use wsp_soap::{constants::CONTENT_TYPE, Envelope};
 use wsp_uddi::{BindingTemplate, BusinessService};
 use wsp_xml::Element;
@@ -146,14 +147,6 @@ fn question(i: usize) -> Vec<u8> {
 fn gateway_for(fx: &Fixture, cfg: GatewayConfig) -> Gateway {
     let client = ShardedUddiClient::for_cluster(&fx.cluster).expect("bootstrap");
     Gateway::new(client, cfg)
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx]
 }
 
 // ---------------------------------------------------------------------------
@@ -337,13 +330,13 @@ pub fn isolation(seed: u64, samples: usize, flood_threads: usize, work: Duration
     }
     fx.server.shutdown();
 
-    let isolated_p99 = percentile(&isolated, 0.99).max(1);
-    let flooded_p99 = percentile(&flooded, 0.99).max(1);
+    let isolated_p99 = percentile(&isolated, 99.0).max(1);
+    let flooded_p99 = percentile(&flooded, 99.0).max(1);
     IsolationRow {
         samples,
-        isolated_p50_us: percentile(&isolated, 0.50),
+        isolated_p50_us: percentile(&isolated, 50.0),
         isolated_p99_us: isolated_p99,
-        flooded_p50_us: percentile(&flooded, 0.50),
+        flooded_p50_us: percentile(&flooded, 50.0),
         flooded_p99_us: flooded_p99,
         hot_shed: hot_shed.load(Ordering::Relaxed),
         p99_ratio: flooded_p99 as f64 / isolated_p99 as f64,

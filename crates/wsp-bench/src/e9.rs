@@ -11,8 +11,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-use wsp_http::{HttpSimServer, Request, ResilientSimClient, Response, RetrySchedule, Router};
-use wsp_simnet::{Context, Dur, FaultPlan, LinkSpec, Node, NodeEvent, NodeId, SimNet, Time};
+use wsp_http::{HttpSimServer, Request, ResilientSimClient, Response, Router};
+use wsp_simnet::{
+    Context, Dur, FaultPlan, LinkSpec, Node, NodeEvent, NodeId, SimNet, SimRetry, Time,
+};
 
 /// One row: loss rate × retry policy → completion and goodput.
 #[derive(Debug, Clone)]
@@ -75,10 +77,10 @@ impl Node<String> for OfferedLoad {
 
 /// Run one cell of the matrix.
 pub fn run(loss: f64, retry: bool, calls: usize, seed: u64) -> E9Row {
-    let schedule = if retry {
-        RetrySchedule::fixed(Dur::millis(60), Dur::millis(10), 6)
+    let spec = if retry {
+        SimRetry::fixed(Dur::millis(60), Dur::millis(10), 6)
     } else {
-        RetrySchedule::none(Dur::millis(60))
+        SimRetry::once(Dur::millis(60))
     };
     let mut net: SimNet<String> = SimNet::new(seed);
     net.set_default_link(LinkSpec {
@@ -95,7 +97,7 @@ pub fn run(loss: f64, retry: bool, calls: usize, seed: u64) -> E9Row {
     let done = Rc::new(RefCell::new(Vec::new()));
     net.add_node(Box::new(OfferedLoad {
         server,
-        client: ResilientSimClient::new(schedule),
+        client: ResilientSimClient::new(spec),
         calls,
         started: 0,
         done: done.clone(),

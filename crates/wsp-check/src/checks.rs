@@ -8,7 +8,8 @@
 
 use crate::composed::{ComposedEffect, ComposedEvent, ComposedMachine, ComposedState};
 use crate::mutations::{
-    ComposedSkipHalfOpenReset, IgnoreReserve, LeakSlotOnReject, SkipHalfOpenReset, StickyHeadTimer,
+    ComposedSkipHalfOpenReset, HintPastDeadline, IgnoreReserve, LeakSlotOnReject, OffByOneBudget,
+    ResendAfterExecution, SkipHalfOpenReset, StickyHeadTimer,
 };
 use crate::{fault_seed, random_walk, Graph, Report, Violation};
 use wsp_core::machines::admission::{
@@ -30,7 +31,7 @@ use wsp_registry::{
     ReplEffect, ReplEvent, ReplicaMachine, ReplicaState as ReplState, SkipLogCatchup,
     Status as ReplStatus,
 };
-use wsp_simnet::Machine;
+use wsp_simnet::{Machine, RetryEffect, RetryEvent, RetryMachine, RetryPhase, RetryState};
 
 /// Explosion guard: these configurations exhaust in well under this.
 const MAX_STATES: usize = 200_000;
@@ -1019,6 +1020,225 @@ pub fn check_lease() -> Result<Report, Violation> {
 }
 
 // ---------------------------------------------------------------------------
+// Retry machine (with an explicit logical clock)
+// ---------------------------------------------------------------------------
+
+/// The retry machine's events carry `now`; like the breaker it is
+/// paired with a bounded tick counter. The wrapper also remembers
+/// whether any failure so far may have executed, so the resend-safety
+/// property can look back past the wait that separates a failure from
+/// the resend it would cause.
+pub struct ClockedRetry<M> {
+    pub inner: M,
+    pub max_ticks: u64,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ClockedRetryState {
+    pub retry: RetryState,
+    pub clock: u64,
+    /// A failure reported that its attempt may have executed.
+    pub executed: bool,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClockedRetryEvent {
+    Tick,
+    Failed {
+        retryable: bool,
+        may_have_executed: bool,
+        retry_after: Option<u64>,
+    },
+    Succeeded,
+    Woke,
+}
+
+impl<M> Machine for ClockedRetry<M>
+where
+    M: Machine<State = RetryState, Event = RetryEvent, Effect = RetryEffect>,
+{
+    type State = ClockedRetryState;
+    type Event = ClockedRetryEvent;
+    type Effect = RetryEffect;
+
+    fn initial(&self) -> ClockedRetryState {
+        ClockedRetryState {
+            retry: self.inner.initial(),
+            clock: 0,
+            executed: false,
+        }
+    }
+
+    fn step(
+        &self,
+        state: &ClockedRetryState,
+        event: &ClockedRetryEvent,
+    ) -> (ClockedRetryState, Vec<RetryEffect>) {
+        let mut next = *state;
+        let now = state.clock;
+        let inner = match *event {
+            ClockedRetryEvent::Tick => {
+                next.clock = (next.clock + 1).min(self.max_ticks);
+                return (next, vec![]);
+            }
+            ClockedRetryEvent::Failed {
+                retryable,
+                may_have_executed,
+                retry_after,
+            } => {
+                next.executed |= may_have_executed;
+                RetryEvent::Failed {
+                    now,
+                    retryable,
+                    may_have_executed,
+                    retry_after,
+                }
+            }
+            ClockedRetryEvent::Succeeded => RetryEvent::Succeeded,
+            ClockedRetryEvent::Woke => RetryEvent::Woke { now },
+        };
+        let (retry, effects) = self.inner.step(&state.retry, &inner);
+        next.retry = retry;
+        (next, effects)
+    }
+}
+
+/// Two retries, the first with no backoff, under a deadline of 3 ticks.
+fn retry_config(idempotent: bool) -> RetryMachine {
+    RetryMachine {
+        backoffs: vec![0, 1],
+        deadline: Some(3),
+        idempotent,
+    }
+}
+
+const RETRY_TICKS: u64 = 4;
+
+/// Every event in every state: stale failures, early wake-ups and late
+/// answers are exactly what the shells feed a real machine. Failures
+/// come in every classification, with and without a 2-tick hint.
+fn retry_events(state: &ClockedRetryState) -> Vec<ClockedRetryEvent> {
+    let mut events = vec![ClockedRetryEvent::Succeeded, ClockedRetryEvent::Woke];
+    for retryable in [false, true] {
+        for may_have_executed in [false, true] {
+            for retry_after in [None, Some(2)] {
+                events.push(ClockedRetryEvent::Failed {
+                    retryable,
+                    may_have_executed,
+                    retry_after,
+                });
+            }
+        }
+    }
+    if state.clock < RETRY_TICKS {
+        events.push(ClockedRetryEvent::Tick);
+    }
+    events
+}
+
+fn retry_invariants<M>(graph: &Graph<ClockedRetry<M>>, cfg: &RetryMachine) -> Result<(), Violation>
+where
+    M: Machine<State = RetryState, Event = RetryEvent, Effect = RetryEffect>,
+{
+    let max_attempts = cfg.max_attempts();
+    let deadline = cfg.deadline.unwrap_or(u64::MAX);
+    graph.check_edges(
+        "no attempt is sent beyond the attempt budget",
+        |_from, _event, effects, _to| {
+            effects
+                .iter()
+                .all(|e| !matches!(e, RetryEffect::Send { attempt } if *attempt > max_attempts))
+        },
+    )?;
+    graph.check_edges(
+        "a non-idempotent call is never resent after an attempt that may have executed",
+        |_from, _event, effects, to| {
+            cfg.idempotent
+                || !to.executed
+                || !effects
+                    .iter()
+                    .any(|e| matches!(e, RetryEffect::Send { .. }))
+        },
+    )?;
+    graph.check_edges(
+        "no wait ends at or past the deadline",
+        |_from, _event, effects, _to| {
+            effects
+                .iter()
+                .all(|e| !matches!(e, RetryEffect::Wait { until } if *until >= deadline))
+        },
+    )?;
+    graph.check_edges(
+        "nothing is resent at or past the deadline",
+        |from, _event, effects, _to| {
+            from.clock < deadline
+                || !effects
+                    .iter()
+                    .any(|e| matches!(e, RetryEffect::Send { .. }))
+        },
+    )?;
+    graph.check_eventually("every call can still end", |s| {
+        s.retry.phase == RetryPhase::Done
+    })
+}
+
+fn explore_retry<M>(inner: M) -> Graph<ClockedRetry<M>>
+where
+    M: Machine<State = RetryState, Event = RetryEvent, Effect = RetryEffect>,
+{
+    Graph::explore(
+        ClockedRetry {
+            inner,
+            max_ticks: RETRY_TICKS,
+        },
+        retry_events,
+        MAX_STATES,
+    )
+}
+
+/// Both resend-safety settings, one report: the graphs differ only in
+/// which failures end the call as unsafe.
+pub fn check_retry() -> Result<Report, Violation> {
+    let (mut states, mut transitions) = (0, 0);
+    for idempotent in [false, true] {
+        let cfg = retry_config(idempotent);
+        let graph = explore_retry(cfg.clone());
+        retry_invariants(&graph, &cfg)?;
+        states += graph.states.len();
+        transitions += graph.edges.len();
+    }
+    Ok(Report {
+        name: "retry(backoffs=[0,1], deadline=3, idempotent in {false,true}, ticks<=4)".into(),
+        states,
+        transitions,
+    })
+}
+
+/// Explore a mutant under both resend-safety settings; the first
+/// counterexample condemns it.
+fn retry_mutant_counterexample<M>(mutant: impl Fn(RetryMachine) -> M) -> Option<Violation>
+where
+    M: Machine<State = RetryState, Event = RetryEvent, Effect = RetryEffect>,
+{
+    [false, true].into_iter().find_map(|idempotent| {
+        let cfg = retry_config(idempotent);
+        retry_invariants(&explore_retry(mutant(cfg.clone())), &cfg).err()
+    })
+}
+
+pub fn retry_budget_mutation_counterexample() -> Option<Violation> {
+    retry_mutant_counterexample(OffByOneBudget)
+}
+
+pub fn retry_resend_mutation_counterexample() -> Option<Violation> {
+    retry_mutant_counterexample(ResendAfterExecution)
+}
+
+pub fn retry_deadline_mutation_counterexample() -> Option<Violation> {
+    retry_mutant_counterexample(HintPastDeadline)
+}
+
+// ---------------------------------------------------------------------------
 // Suite
 // ---------------------------------------------------------------------------
 
@@ -1034,13 +1254,16 @@ pub fn run_all() -> Result<Vec<Report>, Violation> {
         check_composed()?,
         check_replication()?,
         check_lease()?,
+        check_retry()?,
     ];
     composed_random_walk()?;
     Ok(reports)
 }
 
 /// DOT dump of a named machine's explored state graph (for docs and
-/// debugging): `breaker`, `admission`, `correlation`, `drain`, `conn`, `rpc`.
+/// debugging): `breaker`, `admission`, `correlation`, `drain`, `conn`,
+/// `rpc`, `lease`, `replication`, `retry` (the non-idempotent
+/// configuration).
 pub fn dot_for(name: &str) -> Option<String> {
     match name {
         "breaker" => Some(
@@ -1066,6 +1289,7 @@ pub fn dot_for(name: &str) -> Option<String> {
         "lease" => {
             Some(Graph::explore(LeaseMachine { ttl: 2 }, lease_events, MAX_STATES).dot("lease"))
         }
+        "retry" => Some(explore_retry(retry_config(false)).dot("retry")),
         "replication" => {
             let machine = replication_group();
             Some(
@@ -1250,6 +1474,41 @@ mod tests {
     }
 
     #[test]
+    fn retry_configuration_is_clean() {
+        let report = check_retry().unwrap();
+        // Attempts 1..=3 x three phases x clock 0..=4 x the executed
+        // flag, minus what the alphabet never reaches, per setting.
+        assert!(report.states > 40, "{report}");
+    }
+
+    #[test]
+    fn seeded_retry_mutations_are_caught_with_traces() {
+        let budget = retry_budget_mutation_counterexample()
+            .expect("the off-by-one-budget mutant must be condemned");
+        assert!(budget.invariant.contains("budget"), "{}", budget.invariant);
+        assert!(
+            budget.trace.contains("Send { attempt: 4 }"),
+            "{}",
+            budget.trace
+        );
+        let resend = retry_resend_mutation_counterexample()
+            .expect("the resend-after-execution mutant must be condemned");
+        assert!(
+            resend.invariant.contains("non-idempotent"),
+            "{}",
+            resend.invariant
+        );
+        let deadline = retry_deadline_mutation_counterexample()
+            .expect("the hint-past-deadline mutant must be condemned");
+        assert!(
+            deadline.invariant.contains("deadline"),
+            "{}",
+            deadline.invariant
+        );
+        assert!(deadline.trace.contains("Some(2)"), "{}", deadline.trace);
+    }
+
+    #[test]
     fn dot_dumps_exist_for_every_machine() {
         for name in [
             "breaker",
@@ -1258,6 +1517,7 @@ mod tests {
             "drain",
             "conn",
             "rpc",
+            "retry",
         ] {
             let dot = dot_for(name).unwrap();
             assert!(dot.starts_with(&format!("digraph {name}")), "{name}");

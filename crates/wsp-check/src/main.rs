@@ -5,7 +5,7 @@
 //! counterexample trace on stderr. `wsp-check --dot <machine>` dumps a
 //! machine's explored state graph in Graphviz DOT form instead
 //! (`breaker`, `admission`, `correlation`, `drain`, `conn`, `rpc`,
-//! `lease`, `replication`);
+//! `lease`, `replication`, `retry`);
 //! `wsp-check --mutants` runs the deliberately sabotaged machines and
 //! prints the counterexample trace each one earns (failing if any
 //! mutant survives).
@@ -24,7 +24,7 @@ fn main() -> ExitCode {
                 }
                 None => {
                     eprintln!(
-                        "unknown machine {name:?}; try breaker, admission, correlation, drain, conn, rpc, lease, replication"
+                        "unknown machine {name:?}; try breaker, admission, correlation, drain, conn, rpc, lease, replication, retry"
                     );
                     ExitCode::FAILURE
                 }
@@ -56,6 +56,18 @@ fn main() -> ExitCode {
             (
                 "admission: borrow ignores the fair-share reserve",
                 wsp_check::checks::admission_mutation_counterexample(),
+            ),
+            (
+                "retry: off-by-one attempt budget",
+                wsp_check::checks::retry_budget_mutation_counterexample(),
+            ),
+            (
+                "retry: resend after an attempt that may have executed",
+                wsp_check::checks::retry_resend_mutation_counterexample(),
+            ),
+            (
+                "retry: retry-after hint applied past the deadline check",
+                wsp_check::checks::retry_deadline_mutation_counterexample(),
             ),
         ];
         let mut all_condemned = true;

@@ -14,7 +14,7 @@ use wsp_core::machines::admission::{
 use wsp_core::machines::breaker::{BreakerEvent, BreakerMachine, BreakerState};
 use wsp_http::conn::{ConnEffect, ConnEvent, ConnMachine, ConnState, Phase, TimerKind};
 use wsp_http::drain::{DrainEffect, DrainEvent, DrainMachine, DrainState};
-use wsp_simnet::Machine;
+use wsp_simnet::{GiveUp, Machine, RetryEffect, RetryEvent, RetryMachine, RetryPhase, RetryState};
 
 /// Mutation: a successful call while the breaker is tripped does *not*
 /// reset it — the classic "forgot to close on half-open success" bug.
@@ -171,5 +171,119 @@ impl Machine for IgnoreReserve {
             }
         }
         (next, effects)
+    }
+}
+
+/// Mutation: the attempt budget is checked with `>` instead of `>=`, so
+/// the machine spends one attempt more than it was given.
+#[derive(Debug, Clone)]
+pub struct OffByOneBudget(pub RetryMachine);
+
+impl Machine for OffByOneBudget {
+    type State = RetryState;
+    type Event = RetryEvent;
+    type Effect = RetryEffect;
+
+    fn initial(&self) -> RetryState {
+        self.0.initial()
+    }
+
+    fn step(&self, state: &RetryState, event: &RetryEvent) -> (RetryState, Vec<RetryEffect>) {
+        let (next, effects) = self.0.step(state, event);
+        if effects == [RetryEffect::GiveUp(GiveUp::Exhausted)]
+            && state.attempt == self.0.max_attempts()
+        {
+            // The bug: "attempt > max" lets the last attempt resend.
+            let attempt = state.attempt + 1;
+            let next = RetryState {
+                attempt,
+                phase: RetryPhase::InFlight,
+            };
+            return (next, vec![RetryEffect::Send { attempt }]);
+        }
+        (next, effects)
+    }
+}
+
+/// Mutation: the resend-safety check is missing, so a call that must
+/// not run twice is resent after an attempt that may have executed —
+/// a failover loop that moves on after any error.
+#[derive(Debug, Clone)]
+pub struct ResendAfterExecution(pub RetryMachine);
+
+impl Machine for ResendAfterExecution {
+    type State = RetryState;
+    type Event = RetryEvent;
+    type Effect = RetryEffect;
+
+    fn initial(&self) -> RetryState {
+        self.0.initial()
+    }
+
+    fn step(&self, state: &RetryState, event: &RetryEvent) -> (RetryState, Vec<RetryEffect>) {
+        let (next, effects) = self.0.step(state, event);
+        if let (RetryEvent::Failed { .. }, [RetryEffect::GiveUp(GiveUp::Unsafe)]) =
+            (event, &effects[..])
+        {
+            // The bug: treat every failure as if it never ran.
+            let mut event = *event;
+            if let RetryEvent::Failed {
+                may_have_executed, ..
+            } = &mut event
+            {
+                *may_have_executed = false;
+            }
+            return self.0.step(state, &event);
+        }
+        (next, effects)
+    }
+}
+
+/// Mutation: the deadline is checked against the bare backoff and only
+/// then is the server's retry-after hint applied, so a hinted wait can
+/// run past the deadline.
+#[derive(Debug, Clone)]
+pub struct HintPastDeadline(pub RetryMachine);
+
+impl Machine for HintPastDeadline {
+    type State = RetryState;
+    type Event = RetryEvent;
+    type Effect = RetryEffect;
+
+    fn initial(&self) -> RetryState {
+        self.0.initial()
+    }
+
+    fn step(&self, state: &RetryState, event: &RetryEvent) -> (RetryState, Vec<RetryEffect>) {
+        if let RetryEvent::Failed {
+            now,
+            retryable,
+            may_have_executed,
+            retry_after: Some(hint),
+        } = *event
+        {
+            if state.phase == RetryPhase::InFlight {
+                let unhinted = RetryEvent::Failed {
+                    now,
+                    retryable,
+                    may_have_executed,
+                    retry_after: None,
+                };
+                let (next, effects) = self.0.step(state, &unhinted);
+                if let [RetryEffect::Send { .. } | RetryEffect::Wait { .. }] = effects[..] {
+                    // The bug: the deadline passed on the bare backoff;
+                    // the hint now stretches the wait unchecked.
+                    let backoff = self.0.backoffs[state.attempt as usize - 1];
+                    let next = RetryState {
+                        attempt: state.attempt,
+                        phase: RetryPhase::Waiting,
+                    };
+                    let until = now + backoff.max(hint);
+                    return (next, vec![RetryEffect::Wait { until }]);
+                }
+                return (next, effects);
+            }
+        }
+        self.0.step(state, event)
     }
 }

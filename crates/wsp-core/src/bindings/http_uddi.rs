@@ -11,7 +11,7 @@ use crate::events::{EventBus, ServerMessageEvent, ServerPhase};
 use crate::health::{Admission, BreakerConfig, BreakerState, EndpointHealth};
 use crate::overload::{self, AdmissionController, DeadlineScope, LoadShedPolicy};
 use crate::query::{properties_to_uddi_categories, ServiceQuery};
-use crate::resilience::ResiliencePolicy;
+use crate::resilience::{run_retrying, Failure, ResiliencePolicy};
 use crate::telemetry::{self, CorrelationScope};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -168,7 +168,8 @@ impl Shared {
 
 /// One resilient registry interaction: admission through the
 /// registry's circuit breaker, transient (transport) failures retried
-/// on the binding's [`ResiliencePolicy`], and the outcome recorded in
+/// by the binding's [`ResiliencePolicy`] under its retry machine
+/// (backoff, jitter and deadline included), and the outcome recorded in
 /// the `registry.publish` / `registry.locate` telemetry series that
 /// `/metrics` exports.
 fn registry_call<T>(
@@ -183,48 +184,53 @@ fn registry_call<T>(
         .unwrap_or("uddi:anonymous")
         .to_owned();
     let breaker = shared.registry_health.breaker(&endpoint);
+    let policy = &shared.config.registry_policy;
+    // Registry calls are lookups or keyed writes (a republish
+    // overwrites), so a resend is safe.
+    let machine = policy.retry_machine(true, 0);
     let started = Instant::now();
-    let mut attempt = 1u32;
-    loop {
+    let attempt = |attempt: u32| {
+        if attempt > 1 {
+            registry.counter(format!("{op}.retries")).incr();
+        }
         if matches!(breaker.try_acquire(Instant::now()), Admission::Rejected) {
-            registry.counter(format!("{op}.errors")).incr();
-            return Err(WspError::Transport(format!(
-                "registry {endpoint} circuit breaker open"
-            )));
+            let open = format!("registry {endpoint} circuit breaker open");
+            return Err(Failure::new(WspError::Transport(open), false, false));
         }
         match call() {
             Ok(value) => {
                 breaker.on_success(Instant::now());
-                registry.counter(op).incr();
-                registry
-                    .histogram(format!("{op}.rtt_us"))
-                    .record_micros(started.elapsed());
-                return Ok(value);
+                Ok(value)
             }
             Err(wsp_uddi::UddiError::Transport(why)) => {
                 breaker.on_failure(Instant::now());
                 let error = WspError::Transport(why);
-                attempt += 1;
-                match shared.config.registry_policy.backoff_before(attempt) {
-                    Some(delay) if shared.config.registry_policy.is_retryable(&error) => {
-                        registry.counter(format!("{op}.retries")).incr();
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                    }
-                    _ => {
-                        registry.counter(format!("{op}.errors")).incr();
-                        return Err(error);
-                    }
-                }
+                let retryable = policy.is_retryable(&error);
+                Err(Failure::new(error, retryable, true))
             }
             Err(other) => {
                 // The registry answered; the error is semantic, not a
                 // liveness signal — the breaker records a success.
                 breaker.on_success(Instant::now());
-                registry.counter(format!("{op}.errors")).incr();
-                return Err(WspError::Invoke(other.to_string()));
+                Err(Failure::new(
+                    WspError::Invoke(other.to_string()),
+                    false,
+                    true,
+                ))
             }
+        }
+    };
+    match run_retrying(&machine, started, attempt, |_, _, _| {}) {
+        Ok(value) => {
+            registry.counter(op).incr();
+            registry
+                .histogram(format!("{op}.rtt_us"))
+                .record_micros(started.elapsed());
+            Ok(value)
+        }
+        Err((error, _)) => {
+            registry.counter(format!("{op}.errors")).incr();
+            Err(error)
         }
     }
 }

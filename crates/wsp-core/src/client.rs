@@ -18,13 +18,12 @@ use crate::events::{
 use crate::health::{Admission, EndpointHealth, ProbeGuard};
 use crate::overload::{self, DeadlineScope};
 use crate::query::{QueryExpr, ServiceQuery};
-use crate::resilience::ResiliencePolicy;
+use crate::resilience::{run_retrying, Failure, GiveUp, ResiliencePolicy, RetryEffect};
 use crate::telemetry;
 use parking_lot::RwLock;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::cell::RefCell;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use wsp_wsdl::Value;
 
 /// The `Client` node: owns a pluggable [`ServiceLocator`] and a set of
@@ -220,7 +219,7 @@ impl Client {
         let health = self.health.clone();
         // The deadline clock starts at submission, so queueing time
         // counts against the call's budget.
-        let deadline = policy.deadline.map(|d| Instant::now() + d);
+        let submitted = Instant::now();
         let invoke_us = self.invoke_us.clone();
         let attempt_counters = self.attempt_counters.clone();
         let job = move || {
@@ -234,7 +233,7 @@ impl Client {
                 events: &events,
                 attempt_counters: &attempt_counters,
                 token,
-                deadline,
+                submitted,
             };
             let result = attempts.run(service.clone(), &operation, &args);
             invoke_us.record_micros(started.elapsed());
@@ -286,8 +285,9 @@ impl Client {
     }
 }
 
-/// The retry/failover loop one invoke job runs through. Borrowed
-/// context keeps the dispatched closure small.
+/// What one invoke job hands the retry machine's wall-clock shell: the
+/// breaker-gated attempt and the failover pick. Borrowed context keeps
+/// the dispatched closure small.
 struct ResilientAttempts<'a> {
     policy: &'a ResiliencePolicy,
     health: &'a EndpointHealth,
@@ -296,7 +296,9 @@ struct ResilientAttempts<'a> {
     events: &'a EventBus,
     attempt_counters: &'a RwLock<std::collections::HashMap<String, Arc<telemetry::Counter>>>,
     token: u64,
-    deadline: Option<Instant>,
+    /// Submission time: tick 0 of the call's retry machine, and the
+    /// start of its deadline.
+    submitted: Instant,
 }
 
 impl ResilientAttempts<'_> {
@@ -390,7 +392,8 @@ impl ResilientAttempts<'_> {
                 // deadline is the tighter of this call's own deadline
                 // and any inherited one — a handler making a nested
                 // outbound call cannot outlive its caller's budget.
-                let effective = match (self.deadline, overload::current_deadline()) {
+                let own = self.policy.deadline.map(|d| self.submitted + d);
+                let effective = match (own, overload::current_deadline()) {
                     (Some(own), Some(inherited)) => Some(own.min(inherited)),
                     (own, inherited) => own.or(inherited),
                 };
@@ -454,7 +457,7 @@ impl ResilientAttempts<'_> {
 
     fn run(
         &self,
-        mut service: LocatedService,
+        service: LocatedService,
         operation: &str,
         args: &[Value],
     ) -> Result<Value, WspError> {
@@ -464,99 +467,99 @@ impl ResilientAttempts<'_> {
                 operation: operation.to_owned(),
             });
         }
-        // Jitter is deterministic per (policy seed, call token), so a
-        // rerun of the same call sequence reproduces its delays.
-        let mut rng = StdRng::seed_from_u64(self.policy.jitter_seed ^ self.token);
+        // Installing a retrying policy is the caller's declaration that
+        // a resend is allowed, so the call counts as idempotent. Jitter
+        // is deterministic per (policy seed, call token), so a rerun of
+        // the same call sequence reproduces its delays.
+        let machine = self.policy.retry_machine(true, self.token);
+        let current = RefCell::new(service);
         let mut tried: Vec<String> = Vec::new();
-        let mut attempt: u32 = 0;
-        loop {
-            attempt += 1;
-            let error = match self.attempt(&service, operation, args) {
-                Ok(value) => {
-                    let registry = telemetry::global();
-                    if registry.is_enabled() {
-                        // One closing span per call instead of a
-                        // start/end pair: at microsecond invoke scale a
-                        // second span per call is a measurable slice of
-                        // the E10 overhead budget, and the resilience
-                        // spans already narrate multi-attempt calls.
-                        // Push-built detail: `core::fmt` dispatch alone
-                        // costs more than the rest of the record.
-                        registry.span_with(self.token, "client.ok", |d| {
-                            d.push("service=")
-                                .push(service.name())
-                                .push(" operation=")
-                                .push(operation)
-                                .push(" endpoint=")
-                                .push(&service.endpoint)
-                                .push(" attempts=")
-                                .push_u64(attempt as u64);
-                        });
-                    }
-                    return Ok(value);
-                }
-                Err(e) => e,
-            };
-            let will_retry = self.policy.is_retryable(&error) && attempt < self.policy.max_attempts;
-            self.fire(
-                &service,
-                ResilienceAction::AttemptFailed {
-                    attempt,
-                    error: error.to_string(),
-                    will_retry,
-                },
-            );
-            if !will_retry {
-                return Err(error);
+        let attempt = |attempt: u32| {
+            let service = current.borrow();
+            let value = self
+                .attempt(&service, operation, args)
+                .map_err(|error| Failure {
+                    retryable: self.policy.is_retryable(&error),
+                    may_have_executed: true,
+                    // Transient-with-hint: an overloaded server's
+                    // Retry-After is a floor under our own schedule.
+                    retry_after: error.retry_after_hint(),
+                    error,
+                })?;
+            let registry = telemetry::global();
+            if registry.is_enabled() {
+                // One closing span per call instead of a start/end
+                // pair: at microsecond invoke scale a second span per
+                // call is a measurable slice of the E10 overhead
+                // budget, and the resilience spans already narrate
+                // multi-attempt calls. Push-built detail: `core::fmt`
+                // dispatch alone costs more than the rest of the record.
+                registry.span_with(self.token, "client.ok", |d| {
+                    d.push("service=")
+                        .push(service.name())
+                        .push(" operation=")
+                        .push(operation)
+                        .push(" endpoint=")
+                        .push(&service.endpoint)
+                        .push(" attempts=")
+                        .push_u64(attempt as u64);
+                });
             }
-            if !tried.contains(&service.endpoint) {
-                tried.push(service.endpoint.clone());
-            }
-            if let Some(next) = self.failover_target(&service, operation, &tried) {
+            Ok(value)
+        };
+        let observe = |attempts: u32, effect: RetryEffect, error: Option<&WspError>| {
+            if let Some(error) = error {
+                let will_retry = !matches!(
+                    effect,
+                    RetryEffect::GiveUp(GiveUp::Permanent | GiveUp::Exhausted | GiveUp::Unsafe)
+                );
+                let service = current.borrow();
                 self.fire(
                     &service,
-                    ResilienceAction::FailedOver {
-                        to: next.endpoint.clone(),
+                    ResilienceAction::AttemptFailed {
+                        attempt: attempts,
+                        error: error.to_string(),
+                        will_retry,
                     },
                 );
-                service = next;
+                if !will_retry {
+                    return;
+                }
+                if !tried.contains(&service.endpoint) {
+                    tried.push(service.endpoint.clone());
+                }
+                let next = self.failover_target(&service, operation, &tried);
+                if let Some(next) = &next {
+                    let to = next.endpoint.clone();
+                    self.fire(&service, ResilienceAction::FailedOver { to });
+                }
+                drop(service);
+                if let Some(next) = next {
+                    *current.borrow_mut() = next;
+                }
             }
-            let delay = self
-                .policy
-                .backoff_before(attempt + 1)
-                .map(|d| self.policy.jittered(d, &mut rng))
-                .unwrap_or(Duration::ZERO);
-            // Transient-with-hint: an overloaded server's Retry-After
-            // is a floor under our own schedule — retrying sooner than
-            // the server asked would feed the very overload it is
-            // shedding.
-            let delay = match error.retry_after_hint() {
-                Some(hint) => delay.max(hint),
-                None => delay,
-            };
-            if let Some(deadline) = self.deadline {
-                if Instant::now() + delay >= deadline {
-                    self.fire(
-                        &service,
-                        ResilienceAction::DeadlineExceeded {
-                            after_attempts: attempt,
-                        },
-                    );
-                    let millis = self
+            if effect == RetryEffect::GiveUp(GiveUp::Deadline) {
+                self.fire(
+                    &current.borrow(),
+                    ResilienceAction::DeadlineExceeded {
+                        after_attempts: attempts,
+                    },
+                );
+            }
+        };
+        run_retrying(&machine, self.submitted, attempt, observe).map_err(|(error, reason)| {
+            match reason {
+                GiveUp::Deadline => WspError::Timeout {
+                    what: "call deadline",
+                    millis: self
                         .policy
                         .deadline
                         .map(|d| d.as_millis() as u64)
-                        .unwrap_or(0);
-                    return Err(WspError::Timeout {
-                        what: "call deadline",
-                        millis,
-                    });
-                }
+                        .unwrap_or(0),
+                },
+                _ => error,
             }
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-        }
+        })
     }
 }
 
@@ -565,6 +568,7 @@ mod tests {
     use super::*;
     use crate::endpoint::BindingKind;
     use crate::events::CollectingListener;
+    use std::time::Duration;
     use wsp_wsdl::{ServiceDescriptor, WsdlDocument};
 
     struct FixedLocator(Vec<LocatedService>);

@@ -16,10 +16,19 @@
 //! schedule is truncated so the summed delays never exceed the
 //! deadline. Jitter only ever shortens a delay (full-jitter-down), so
 //! the invariants survive it.
+//!
+//! A policy does not run a loop of its own: [`ResiliencePolicy::retry_machine`]
+//! turns it into the configuration of one call's [`RetryMachine`], and
+//! [`run_retrying`] — the machine's one wall-clock shell — drives every
+//! retrying caller in the stack (client invocations, registry calls,
+//! the gateway's backend failover, the sharded registry's writes).
 
 use crate::error::WspError;
-use rand::Rng;
-use std::time::Duration;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::time::{Duration, Instant};
+pub use wsp_simnet::{GiveUp, RetryEffect, RetryMachine};
+use wsp_simnet::{Machine, RetryEvent};
 
 /// How a [`WspError`] is classified for retry purposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,6 +215,114 @@ impl ResiliencePolicy {
         }
         let keep = 1.0 - self.jitter.clamp(0.0, 1.0) * rng.random::<f64>();
         Duration::from_secs_f64(delay.as_secs_f64() * keep)
+    }
+
+    /// The [`RetryMachine`] for one call under this policy: the
+    /// jittered backoff before each attempt `2..=max_attempts`, drawn
+    /// in attempt order from the jitter stream seeded by
+    /// `jitter_seed ^ stream` (the client passes the call token), and
+    /// the deadline in ticks. A single-attempt policy draws nothing and
+    /// allocates nothing.
+    pub fn retry_machine(&self, idempotent: bool, stream: u64) -> RetryMachine {
+        let backoffs = if self.retries_enabled() {
+            let mut rng = StdRng::seed_from_u64(self.jitter_seed ^ stream);
+            (2..=self.max_attempts)
+                .map(|attempt| {
+                    let delay = self.backoff_before(attempt).unwrap_or_default();
+                    ticks(self.jittered(delay, &mut rng))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        RetryMachine {
+            backoffs,
+            deadline: self.deadline.map(ticks),
+            idempotent,
+        }
+    }
+}
+
+/// Machine ticks (microseconds) in a wall-clock span.
+fn ticks(span: Duration) -> u64 {
+    u64::try_from(span.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// One failed attempt, classified for the [`RetryMachine`].
+#[derive(Debug)]
+pub struct Failure<E> {
+    pub error: E,
+    /// Another attempt could plausibly succeed.
+    pub retryable: bool,
+    /// The request may have reached the handler (anything but a
+    /// refused connection).
+    pub may_have_executed: bool,
+    /// The server's backoff hint.
+    pub retry_after: Option<Duration>,
+}
+
+impl<E> Failure<E> {
+    /// A failure without a backoff hint.
+    pub fn new(error: E, retryable: bool, may_have_executed: bool) -> Self {
+        Failure {
+            error,
+            retryable,
+            may_have_executed,
+            retry_after: None,
+        }
+    }
+}
+
+/// The wall-clock shell of [`RetryMachine`]: run `attempt` (given the
+/// 1-based attempt number) until it succeeds or the machine gives up —
+/// then the last error and the reason come back — sleeping through
+/// every [`RetryEffect::Wait`]. Ticks count from `started`, which is
+/// also where the machine's deadline is measured from. `observe` sees
+/// every effect with the number of attempts made so far, and the
+/// failed attempt's error when the effect answers a failure — callers
+/// hang their failover pick and their telemetry there.
+pub fn run_retrying<T, E>(
+    machine: &RetryMachine,
+    started: Instant,
+    mut attempt: impl FnMut(u32) -> Result<T, Failure<E>>,
+    mut observe: impl FnMut(u32, RetryEffect, Option<&E>),
+) -> Result<T, (E, GiveUp)> {
+    let mut state = machine.initial();
+    loop {
+        let made = state.attempt;
+        let failure = match attempt(made) {
+            Ok(value) => {
+                if let Some(effect) = machine.advance(&mut state, &RetryEvent::Succeeded) {
+                    observe(made, effect, None);
+                }
+                return Ok(value);
+            }
+            Err(failure) => failure,
+        };
+        let failed = RetryEvent::Failed {
+            now: ticks(started.elapsed()),
+            retryable: failure.retryable,
+            may_have_executed: failure.may_have_executed,
+            retry_after: failure.retry_after.map(ticks),
+        };
+        let mut effect = machine
+            .advance(&mut state, &failed)
+            .expect("a failure while an attempt is out always has an effect");
+        observe(made, effect, Some(&failure.error));
+        if let RetryEffect::Wait { until } = effect {
+            let wake = started + Duration::from_micros(until);
+            std::thread::sleep(wake.saturating_duration_since(Instant::now()));
+            let woke = RetryEvent::Woke {
+                now: ticks(started.elapsed()),
+            };
+            effect = machine
+                .advance(&mut state, &woke)
+                .expect("a wake-up while waiting always has an effect");
+            observe(made, effect, None);
+        }
+        if let RetryEffect::GiveUp(reason) = effect {
+            return Err((failure.error, reason));
+        }
     }
 }
 

@@ -34,8 +34,9 @@ use wsp_core::overload::{
     busy_fault_reason, deadline_in_ms, ANONYMOUS_TENANT, DEADLINE_HEADER, DEADLINE_SOAP_HEADER,
     RETRY_AFTER_MS_HEADER, TENANT_HEADER, TENANT_SOAP_HEADER,
 };
+use wsp_core::resilience::{run_retrying, Failure, RetryMachine};
 use wsp_core::{telemetry, AdmissionController, LoadShedPolicy, WspError};
-use wsp_http::{ConnectionPool, Request, Response, Router, TcpServer};
+use wsp_http::{ConnectionPool, HttpError, Request, Response, Router, TcpServer};
 use wsp_p2ps::{P2psMessage, PipeTcpConfig, PipeTcpServer};
 use wsp_registry::{RegistryError, ShardedUddiClient};
 use wsp_soap::{constants::CONTENT_TYPE, Envelope, Fault};
@@ -267,7 +268,19 @@ impl Gateway {
         }
 
         let (endpoints, shard) = self.resolve(service)?;
-        let (status, content_type, body) = self.call_backends(service, &endpoints, raw)?;
+        // Only an operation declared idempotent may run on a second
+        // backend after the first may have executed it.
+        let response = self.call_backends(service, &endpoints, cacheable, |endpoint| {
+            let request = Request::post("/", CONTENT_TYPE, raw.to_vec());
+            self.inner.http.call_uri(endpoint, request)
+        })?;
+        let status = response.status;
+        let body = response.body;
+        let content_type = response
+            .headers
+            .get("Content-Type")
+            .unwrap_or(CONTENT_TYPE)
+            .to_owned();
         if cacheable && status == 200 {
             self.inner.caches.put_response(
                 key,
@@ -315,42 +328,52 @@ impl Gateway {
         Ok((endpoints, shard))
     }
 
-    /// The failover loop: up to `backend_attempts` distinct endpoints,
-    /// least-loaded first, breaker outcomes recorded per call.
+    /// Backend failover under the retry machine: up to
+    /// `backend_attempts` distinct endpoints, least-loaded first,
+    /// breaker outcomes recorded per call, with `call` making the one
+    /// HTTP exchange against the picked endpoint. A request that may
+    /// have reached a backend (anything but a refused connection) is
+    /// resent elsewhere only when `idempotent`.
     fn call_backends(
         &self,
         service: &str,
         endpoints: &[String],
-        raw: &[u8],
-    ) -> Result<(u16, String, Vec<u8>), GatewayError> {
+        idempotent: bool,
+        call: impl Fn(&str) -> Result<Response, HttpError>,
+    ) -> Result<Response, GatewayError> {
         let t = telemetry::global();
+        let machine = RetryMachine {
+            backoffs: vec![0; self.inner.backend_attempts.saturating_sub(1)],
+            deadline: None,
+            idempotent,
+        };
         let mut tried: Vec<String> = Vec::new();
-        for attempt in 0..self.inner.backend_attempts {
+        let attempt = |attempt: u32| {
             let Some(lease) = self.inner.pools.pick(endpoints, &tried) else {
-                break;
+                return Err(Failure::new((), false, false));
             };
-            if attempt > 0 {
+            if attempt > 1 {
                 t.counter("gateway.backend.failovers").incr();
             }
-            let request = Request::post("/", CONTENT_TYPE, raw.to_vec());
-            match self.inner.http.call_uri(lease.endpoint(), request) {
+            match call(lease.endpoint()) {
                 Ok(response) => {
                     lease.succeed();
-                    let content_type = response
-                        .headers
-                        .get("Content-Type")
-                        .unwrap_or(CONTENT_TYPE)
-                        .to_owned();
-                    return Ok((response.status, content_type, response.body));
+                    Ok(response)
                 }
-                Err(_) => {
+                Err(error) => {
                     lease.fail();
                     t.counter("gateway.backend.errors").incr();
                     tried.push(lease.endpoint().to_owned());
+                    let refused = matches!(error, HttpError::Connect(_));
+                    Err(Failure::new((), true, !refused))
                 }
             }
+        };
+        if let Ok(response) = run_retrying(&machine, Instant::now(), attempt, |_, _, _| {}) {
+            return Ok(response);
         }
-        // Every candidate failed: the cached endpoints are suspect.
+        // Every candidate failed, or the one that may have run the
+        // request cannot be retried: the cached endpoints are suspect.
         self.inner.caches.invalidate_service(service);
         Err(GatewayError::Unavailable(format!(
             "no backend for {service} answered ({} tried)",
@@ -376,43 +399,27 @@ impl Gateway {
             });
         }
         let (endpoints, shard) = self.resolve(service)?;
-        let mut tried: Vec<String> = Vec::new();
-        for _ in 0..self.inner.backend_attempts {
-            let Some(lease) = self.inner.pools.pick(&endpoints, &tried) else {
-                break;
-            };
-            let uri = format!("{}?wsdl", lease.endpoint());
-            match self.inner.http.call_uri(&uri, Request::get("/")) {
-                Ok(response) if response.status == 200 => {
-                    lease.succeed();
-                    let body = String::from_utf8_lossy(&response.body).into_owned();
-                    self.inner.caches.put_wsdl(service, body.clone(), shard);
-                    return Ok(GatewayReply {
-                        status: 200,
-                        content_type: "text/xml; charset=utf-8".to_owned(),
-                        body: body.into_bytes(),
-                        cached: false,
-                    });
-                }
-                Ok(response) => {
-                    lease.succeed();
-                    return Ok(GatewayReply {
-                        status: response.status,
-                        content_type: "text/plain; charset=utf-8".to_owned(),
-                        body: response.body,
-                        cached: false,
-                    });
-                }
-                Err(_) => {
-                    lease.fail();
-                    tried.push(lease.endpoint().to_owned());
-                }
-            }
+        let response = self.call_backends(service, &endpoints, true, |endpoint| {
+            self.inner
+                .http
+                .call_uri(&format!("{endpoint}?wsdl"), Request::get("/"))
+        })?;
+        if response.status != 200 {
+            return Ok(GatewayReply {
+                status: response.status,
+                content_type: "text/plain; charset=utf-8".to_owned(),
+                body: response.body,
+                cached: false,
+            });
         }
-        self.inner.caches.invalidate_service(service);
-        Err(GatewayError::Unavailable(format!(
-            "no backend for {service} served its WSDL"
-        )))
+        let body = String::from_utf8_lossy(&response.body).into_owned();
+        self.inner.caches.put_wsdl(service, body.clone(), shard);
+        Ok(GatewayReply {
+            status: 200,
+            content_type: "text/xml; charset=utf-8".to_owned(),
+            body: body.into_bytes(),
+            cached: false,
+        })
     }
 
     // -- HTTP front --------------------------------------------------------

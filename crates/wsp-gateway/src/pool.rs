@@ -18,11 +18,11 @@
 //! the breaker spares the rest the timeout.
 
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use wsp_core::{Admission, BreakerConfig, CircuitBreaker, EndpointHealth};
+use wsp_core::{Admission, BreakerConfig, CircuitBreaker, EndpointHealth, ProbeGuard};
 
 struct PoolState {
     active: HashMap<String, u64>,
@@ -89,10 +89,10 @@ impl BackendPools {
                 continue;
             }
             *state.active.entry(endpoint.clone()).or_insert(0) += 1;
+            let probe = (admission == Admission::Probe).then(|| ProbeGuard::arm(breaker.clone()));
             return Some(BackendLease {
                 endpoint: endpoint.clone(),
-                probe: admission == Admission::Probe,
-                reported: AtomicBool::new(false),
+                probe: Cell::new(probe),
                 breaker,
                 state: self.state.clone(),
             });
@@ -104,12 +104,10 @@ impl BackendPools {
 /// RAII lease on one backend call (see [`BackendPools::pick`]).
 pub struct BackendLease {
     endpoint: String,
-    /// This lease holds the breaker's single half-open probe slot.
-    probe: bool,
-    /// Whether [`succeed`](BackendLease::succeed)/[`fail`](BackendLease::fail)
-    /// has been called; a probe lease dropped unreported must abort the
-    /// probe or the slot strands and the breaker rejects forever.
-    reported: AtomicBool,
+    /// Armed while this lease holds the breaker's single half-open
+    /// probe slot and has not reported: dropped unreported it aborts
+    /// the probe, so the slot never strands.
+    probe: Cell<Option<ProbeGuard>>,
     breaker: Arc<CircuitBreaker>,
     state: Arc<Mutex<PoolState>>,
 }
@@ -120,21 +118,24 @@ impl BackendLease {
     }
 
     pub fn succeed(&self) {
-        self.reported.store(true, Ordering::Relaxed);
+        self.disarm();
         self.breaker.on_success(Instant::now());
     }
 
     pub fn fail(&self) {
-        self.reported.store(true, Ordering::Relaxed);
+        self.disarm();
         self.breaker.on_failure(Instant::now());
+    }
+
+    fn disarm(&self) {
+        if let Some(guard) = self.probe.take() {
+            guard.disarm();
+        }
     }
 }
 
 impl Drop for BackendLease {
     fn drop(&mut self) {
-        if self.probe && !self.reported.load(Ordering::Relaxed) {
-            self.breaker.on_probe_aborted(Instant::now());
-        }
         let mut state = self.state.lock();
         if let Some(n) = state.active.get_mut(&self.endpoint) {
             *n = n.saturating_sub(1);

@@ -40,8 +40,7 @@ pub use reactor::{
 };
 pub use router::{HttpHandler, Interceptor, Router};
 pub use sim::{
-    HttpSimServer, ResilientSimClient, RetrySchedule, SimCallOutcome, SimHttpClient,
-    CORRELATION_HEADER, RETRY_RESEND_TAG, RETRY_TIMEOUT_TAG,
+    HttpSimServer, ResilientSimClient, SimCallOutcome, SimHttpClient, CORRELATION_HEADER,
 };
 pub use tcp::{
     http_call, http_call_uri, http_call_with_timeout, ConnectionPool, ServerConfig, TcpServer,

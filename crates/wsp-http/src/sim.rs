@@ -16,7 +16,9 @@ use crate::codec::{encode_request, encode_response, parse_request, parse_respons
 use crate::message::{Request, Response};
 use crate::router::Router;
 use std::collections::{HashMap, VecDeque};
-use wsp_simnet::{Context, Dur, Node, NodeEvent, NodeId, TimerId};
+use wsp_simnet::{
+    CallEnd, Context, Dur, Node, NodeEvent, NodeId, RetryCalls, RetryEvent, SimRetry,
+};
 
 /// Correlation header echoed by the sim server.
 pub const CORRELATION_HEADER: &str = "X-Sim-Correlation";
@@ -169,49 +171,6 @@ impl SimHttpClient {
 
 // --- resilient client --------------------------------------------------------
 
-/// Timer-tag namespace for [`ResilientSimClient`] attempt timeouts.
-/// Embedding behaviours must route timers with these top nibbles to
-/// [`ResilientSimClient::on_timer`] and keep their own tags elsewhere.
-pub const RETRY_TIMEOUT_TAG: u64 = 0xC000_0000_0000_0000;
-/// Timer-tag namespace for scheduled (backed-off) resends.
-pub const RETRY_RESEND_TAG: u64 = 0xD000_0000_0000_0000;
-
-const TAG_PHASE_MASK: u64 = 0xF000_0000_0000_0000;
-const TAG_CALL_MASK: u64 = !TAG_PHASE_MASK;
-
-/// A deterministic per-attempt retry schedule for the sim client: each
-/// attempt gets `attempt_timeout` of virtual time, and `backoffs[i]` is
-/// the pause before attempt `i + 2`. Everything is virtual-time `Dur`s,
-/// so runs are reproducible bit-for-bit per simnet seed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetrySchedule {
-    pub attempt_timeout: Dur,
-    pub backoffs: Vec<Dur>,
-}
-
-impl RetrySchedule {
-    /// Single attempt: a timeout becomes [`SimCallOutcome::Exhausted`]
-    /// immediately.
-    pub fn none(attempt_timeout: Dur) -> Self {
-        RetrySchedule {
-            attempt_timeout,
-            backoffs: Vec::new(),
-        }
-    }
-
-    /// `retries` extra attempts, each preceded by the same `backoff`.
-    pub fn fixed(attempt_timeout: Dur, backoff: Dur, retries: usize) -> Self {
-        RetrySchedule {
-            attempt_timeout,
-            backoffs: vec![backoff; retries],
-        }
-    }
-
-    pub fn max_attempts(&self) -> u32 {
-        1 + self.backoffs.len() as u32
-    }
-}
-
 /// Terminal outcome of one logical call made through
 /// [`ResilientSimClient`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -230,47 +189,49 @@ pub enum SimCallOutcome {
 struct PendingCall {
     server: NodeId,
     request: Request,
-    attempts: u32,
-    timeout: Option<TimerId>,
+    /// Every correlation id this call has put on the wire.
+    correlations: Vec<u64>,
 }
 
-/// [`SimHttpClient`] plus timeout/retry/backoff: one *logical call* may
-/// span several wire attempts. Lost or rejected attempts are retried on
-/// the schedule until the budget runs out; the embedding behaviour
-/// forwards its [`NodeEvent::Timer`]s (tags in the two `RETRY_*_TAG`
-/// namespaces) and messages, and reacts to the returned
-/// [`SimCallOutcome`]s. This is the sim-side analogue of the threaded
-/// `wsp_core` resilience layer — `Dur`-based because the simulator
-/// crates do not depend on `wsp-core`.
+/// [`SimHttpClient`] under the [`RetryMachine`](wsp_simnet::RetryMachine):
+/// one *logical call* may span several wire attempts. The embedding
+/// behaviour forwards its [`NodeEvent::Timer`]s (tags in the
+/// [`RetryCalls`] namespaces) and messages, and reacts to the returned
+/// [`SimCallOutcome`]s. A reply to any attempt of a live call counts;
+/// when the call ends all its correlation ids are dropped, so replies
+/// that arrive later are ignored.
 #[derive(Debug)]
 pub struct ResilientSimClient {
-    schedule: RetrySchedule,
-    inner: SimHttpClient,
-    next_call: u64,
-    calls: HashMap<u64, PendingCall>,
+    retry: SimRetry,
+    calls: RetryCalls<PendingCall>,
+    wire: Wire,
+}
+
+/// The attempt sender: correlation ids on the wire, mapped back to the
+/// live calls that sent them.
+#[derive(Debug, Default)]
+struct Wire {
+    client: SimHttpClient,
     by_correlation: HashMap<u64, u64>,
 }
 
+impl Wire {
+    fn send(&mut self, ctx: &mut Context<'_, String>, call: u64, pending: &mut PendingCall) {
+        ctx.count("http.retry_attempt");
+        let request = pending.request.clone();
+        let correlation = self.client.send(ctx, pending.server, request);
+        self.by_correlation.insert(correlation, call);
+        pending.correlations.push(correlation);
+    }
+}
+
 impl ResilientSimClient {
-    pub fn new(schedule: RetrySchedule) -> Self {
+    pub fn new(retry: SimRetry) -> Self {
         ResilientSimClient {
-            schedule,
-            inner: SimHttpClient::new(),
-            next_call: 0,
-            calls: HashMap::new(),
-            by_correlation: HashMap::new(),
+            retry,
+            calls: RetryCalls::default(),
+            wire: Wire::default(),
         }
-    }
-
-    /// Does `tag` belong to this client's timer namespaces?
-    pub fn owns_tag(tag: u64) -> bool {
-        let phase = tag & TAG_PHASE_MASK;
-        phase == RETRY_TIMEOUT_TAG || phase == RETRY_RESEND_TAG
-    }
-
-    /// Logical calls still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.calls.len()
     }
 
     /// Start a logical call: sends attempt 1 now and arms its timeout.
@@ -281,99 +242,83 @@ impl ResilientSimClient {
         server: NodeId,
         request: Request,
     ) -> u64 {
-        let call = self.next_call;
-        self.next_call += 1;
-        self.calls.insert(
-            call,
-            PendingCall {
-                server,
-                request,
-                attempts: 0,
-                timeout: None,
-            },
-        );
-        self.send_attempt(ctx, call);
-        call
-    }
-
-    fn send_attempt(&mut self, ctx: &mut Context<'_, String>, call: u64) {
-        let Some(pending) = self.calls.get_mut(&call) else {
-            return;
+        let pending = PendingCall {
+            server,
+            request,
+            correlations: Vec::new(),
         };
-        pending.attempts += 1;
-        ctx.count("http.retry_attempt");
-        let correlation = self
-            .inner
-            .send(ctx, pending.server, pending.request.clone());
-        self.by_correlation.insert(correlation, call);
-        let timeout = ctx.set_timer(self.schedule.attempt_timeout, RETRY_TIMEOUT_TAG | call);
-        self.calls.get_mut(&call).unwrap().timeout = Some(timeout);
-    }
-
-    /// The current attempt failed (timeout or rejection): either back
-    /// off into the next attempt or give up.
-    fn fail_attempt(&mut self, ctx: &mut Context<'_, String>, call: u64) -> Option<SimCallOutcome> {
-        let pending = self.calls.get(&call)?;
-        let attempts = pending.attempts;
-        if attempts >= self.schedule.max_attempts() {
-            self.calls.remove(&call);
-            ctx.count("http.retry_exhausted");
-            return Some(SimCallOutcome::Exhausted { call, attempts });
-        }
-        let backoff = self.schedule.backoffs[(attempts - 1) as usize];
-        if backoff == Dur::ZERO {
-            self.send_attempt(ctx, call);
-        } else {
-            ctx.set_timer(backoff, RETRY_RESEND_TAG | call);
-        }
-        None
+        let retry = self.retry.clone();
+        let wire = &mut self.wire;
+        self.calls
+            .begin(ctx, retry, pending, |ctx, call, p| wire.send(ctx, call, p))
     }
 
     /// Feed a fired timer through; `None` for foreign tags and
     /// non-terminal progress.
     pub fn on_timer(&mut self, ctx: &mut Context<'_, String>, tag: u64) -> Option<SimCallOutcome> {
-        let call = tag & TAG_CALL_MASK;
-        match tag & TAG_PHASE_MASK {
-            phase if phase == RETRY_TIMEOUT_TAG => {
-                self.calls.get_mut(&call)?.timeout = None;
-                ctx.count("http.attempt_timeout");
-                self.fail_attempt(ctx, call)
-            }
-            phase if phase == RETRY_RESEND_TAG => {
-                self.send_attempt(ctx, call);
-                None
-            }
-            _ => None,
+        if self.calls.is_attempt_timeout(tag) {
+            ctx.count("http.attempt_timeout");
         }
+        let wire = &mut self.wire;
+        let end = self
+            .calls
+            .on_timer(ctx, tag, |ctx, call, p| wire.send(ctx, call, p))?;
+        Some(self.finish(ctx, end, None))
     }
 
     /// Feed an incoming message through; returns an outcome when the
-    /// message terminates one of our calls. Late responses from already
-    /// finished calls (a retransmit raced the retry) are dropped.
+    /// message terminates one of our calls.
     pub fn on_message(
         &mut self,
         ctx: &mut Context<'_, String>,
         msg: &str,
     ) -> Option<SimCallOutcome> {
-        let (correlation, response) = self.inner.accept(msg)?;
-        let call = self.by_correlation.remove(&correlation)?;
-        let pending = self.calls.get_mut(&call)?;
-        if let Some(timer) = pending.timeout.take() {
-            ctx.cancel_timer(timer);
+        let (correlation, response) = self.wire.client.accept(msg)?;
+        let call = *self.wire.by_correlation.get(&correlation)?;
+        let event = if response.is_success() {
+            RetryEvent::Succeeded
+        } else {
+            // A definitive rejection (503 queue-full, …) counts as a
+            // failed attempt, just faster than a timeout.
+            ctx.count("http.attempt_rejected");
+            RetryEvent::Failed {
+                now: ctx.now().as_micros(),
+                retryable: true,
+                may_have_executed: false,
+                retry_after: None,
+            }
+        };
+        let wire = &mut self.wire;
+        let end = self
+            .calls
+            .step(ctx, call, event, |ctx, call, p| wire.send(ctx, call, p))?;
+        Some(self.finish(ctx, end, Some(response)))
+    }
+
+    /// Drop every correlation id of the ended call and report it.
+    fn finish(
+        &mut self,
+        ctx: &mut Context<'_, String>,
+        end: CallEnd<PendingCall>,
+        response: Option<Response>,
+    ) -> SimCallOutcome {
+        for correlation in &end.data.correlations {
+            self.wire.by_correlation.remove(correlation);
         }
-        if response.is_success() {
-            let attempts = pending.attempts;
-            self.calls.remove(&call);
-            return Some(SimCallOutcome::Completed {
-                call,
-                attempts,
+        match response.filter(|_| end.gave_up.is_none()) {
+            Some(response) => SimCallOutcome::Completed {
+                call: end.call,
+                attempts: end.attempts,
                 response,
-            });
+            },
+            None => {
+                ctx.count("http.retry_exhausted");
+                SimCallOutcome::Exhausted {
+                    call: end.call,
+                    attempts: end.attempts,
+                }
+            }
         }
-        // A definitive rejection (503 queue-full, …) counts as a failed
-        // attempt, just faster than a timeout.
-        ctx.count("http.attempt_rejected");
-        self.fail_attempt(ctx, call)
     }
 }
 
@@ -569,7 +514,7 @@ mod tests {
     fn retry_net(
         seed: u64,
         loss: f64,
-        schedule: RetrySchedule,
+        retry: SimRetry,
     ) -> (SimNet<String>, NodeId, Rc<RefCell<Vec<SimCallOutcome>>>) {
         let mut net: SimNet<String> = SimNet::new(seed);
         net.set_default_link(LinkSpec {
@@ -586,7 +531,7 @@ mod tests {
         let outcomes = Rc::new(RefCell::new(Vec::new()));
         net.add_node(Box::new(RetryDriver {
             server,
-            client: ResilientSimClient::new(schedule),
+            client: ResilientSimClient::new(retry),
             outcomes: outcomes.clone(),
         }));
         (net, server, outcomes)
@@ -594,8 +539,8 @@ mod tests {
 
     #[test]
     fn clean_network_completes_on_first_attempt() {
-        let schedule = RetrySchedule::fixed(Dur::millis(100), Dur::millis(10), 3);
-        let (mut net, _, outcomes) = retry_net(11, 0.0, schedule);
+        let retry = SimRetry::fixed(Dur::millis(100), Dur::millis(10), 3);
+        let (mut net, _, outcomes) = retry_net(11, 0.0, retry);
         net.run_to_quiescence();
         let got = outcomes.borrow();
         assert_eq!(got.len(), 1);
@@ -609,8 +554,8 @@ mod tests {
     fn blackout_is_survived_by_retry() {
         // The link is black until t = 50ms: attempt 1 (t = 0) is lost,
         // its timeout fires at 100ms, and attempt 2 sails through.
-        let schedule = RetrySchedule::fixed(Dur::millis(100), Dur::millis(10), 3);
-        let (mut net, server, outcomes) = retry_net(13, 0.0, schedule);
+        let retry = SimRetry::fixed(Dur::millis(100), Dur::millis(10), 3);
+        let (mut net, server, outcomes) = retry_net(13, 0.0, retry);
         let client = server + 1; // the driver is added right after the server
         wsp_simnet::FaultPlan::new(13)
             .blackout(client, server, Time::ZERO, Time::millis(50))
@@ -627,8 +572,8 @@ mod tests {
 
     #[test]
     fn total_loss_exhausts_the_attempt_budget() {
-        let schedule = RetrySchedule::fixed(Dur::millis(20), Dur::millis(5), 2);
-        let (mut net, _, outcomes) = retry_net(17, 1.0, schedule);
+        let retry = SimRetry::fixed(Dur::millis(20), Dur::millis(5), 2);
+        let (mut net, _, outcomes) = retry_net(17, 1.0, retry);
         net.run_to_quiescence();
         let got = outcomes.borrow();
         assert_eq!(got.len(), 1, "a call never hangs — it exhausts");
@@ -643,7 +588,7 @@ mod tests {
     fn rejection_counts_as_a_failed_attempt() {
         // queue_limit 0 bounces everything with 503 immediately: the
         // call exhausts via fast rejections, not slow timeouts.
-        let schedule = RetrySchedule::fixed(Dur::millis(100), Dur::millis(5), 1);
+        let retry = SimRetry::fixed(Dur::millis(100), Dur::millis(5), 1);
         let mut net: SimNet<String> = SimNet::new(19);
         net.set_default_link(LinkSpec {
             latency: Dur::millis(1),
@@ -657,7 +602,7 @@ mod tests {
         let outcomes = Rc::new(RefCell::new(Vec::new()));
         net.add_node(Box::new(RetryDriver {
             server,
-            client: ResilientSimClient::new(schedule),
+            client: ResilientSimClient::new(retry),
             outcomes: outcomes.clone(),
         }));
         net.run_to_quiescence();
@@ -677,8 +622,8 @@ mod tests {
     #[test]
     fn lossy_run_is_reproducible_per_seed() {
         let run = |seed| {
-            let schedule = RetrySchedule::fixed(Dur::millis(30), Dur::millis(10), 5);
-            let (mut net, _, outcomes) = retry_net(seed, 0.4, schedule);
+            let retry = SimRetry::fixed(Dur::millis(30), Dur::millis(10), 5);
+            let (mut net, _, outcomes) = retry_net(seed, 0.4, retry);
             let end = net.run_to_quiescence();
             let got = outcomes.borrow().clone();
             (end, got)
@@ -688,6 +633,69 @@ mod tests {
         assert_eq!(a, b, "same seed, same outcomes");
         assert_eq!(end_a, end_b);
         assert_eq!(a.len(), 1);
+    }
+
+    /// Fires `n` resilient calls at `Start` and keeps the client so the
+    /// test can inspect it after the run.
+    struct LossyBurst {
+        server: NodeId,
+        n: usize,
+        client: Rc<RefCell<ResilientSimClient>>,
+    }
+
+    impl Node<String> for LossyBurst {
+        fn handle(&mut self, ctx: &mut Context<'_, String>, event: NodeEvent<String>) {
+            let mut client = self.client.borrow_mut();
+            match event {
+                NodeEvent::Start => {
+                    for _ in 0..self.n {
+                        client.begin(ctx, self.server, Request::post("/Echo", "text/plain", "hi"));
+                    }
+                }
+                NodeEvent::Timer { tag } => {
+                    client.on_timer(ctx, tag);
+                }
+                NodeEvent::Message { msg, .. } => {
+                    client.on_message(ctx, &msg);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn finished_calls_leave_no_correlations_behind() {
+        // Lost attempts never get a reply, and attempts overtaken by a
+        // later success reply after their call ended: neither may keep
+        // a correlation entry once the burst has settled.
+        let retry = SimRetry::fixed(Dur::millis(8), Dur::millis(2), 6);
+        let mut net: SimNet<String> = SimNet::new(29);
+        net.set_default_link(LinkSpec {
+            latency: Dur::millis(3),
+            jitter: Dur::millis(3),
+            loss: 0.3,
+            per_byte: Dur::ZERO,
+        });
+        let server = net.add_node(Box::new(HttpSimServer::new(
+            echo_router(),
+            Dur::millis(1),
+            4,
+        )));
+        let client = Rc::new(RefCell::new(ResilientSimClient::new(retry)));
+        net.add_node(Box::new(LossyBurst {
+            server,
+            n: 50,
+            client: client.clone(),
+        }));
+        net.run_to_quiescence();
+        let client = client.borrow();
+        assert!(
+            net.metrics().counter("http.attempt_timeout") > 0,
+            "the burst lost attempts"
+        );
+        assert!(client.calls.is_empty());
+        let leaked = client.wire.by_correlation.len();
+        assert_eq!(leaked, 0, "{leaked} correlations outlived their calls");
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use rpc::{decode_request, encode_response, ReceivedRequest, RpcCorrelator};
 pub use rpc_machine::{RpcEffect, RpcEvent, RpcMachine, RpcState};
 pub use sim_driver::{
     add_peer, build_overlay, peer_id_for, Directory, P2psHandle, P2psSimNode, PeerCommand,
-    PeerEvent, RQ_RESEND_TAG, RQ_TIMEOUT_TAG, WAKE_TAG,
+    PeerEvent, WAKE_TAG,
 };
 pub use thread_driver::{ThreadNetwork, ThreadNetworkStats, ThreadPeer, ThreadPeerEvent};
 pub use uri::{P2psUri, P2psUriError};

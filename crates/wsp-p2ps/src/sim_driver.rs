@@ -9,18 +9,15 @@ use crate::query::P2psQuery;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
-use wsp_simnet::{Context, Dur, Node, NodeEvent, NodeId, SimNet, Time, TimerId, Topology};
+use wsp_simnet::{
+    CallEnd, Context, Dur, Node, NodeEvent, NodeId, RetryCalls, RetryEvent, SimNet, SimRetry, Time,
+    Topology,
+};
 
 /// Timer tag that makes a peer drain its command queue.
 pub const WAKE_TAG: u64 = 0xB001;
 /// Timer tag for periodic soft-state refresh.
 const REFRESH_TAG: u64 = 0xB002;
-/// Timer-tag namespace for resilient-query attempt timeouts.
-pub const RQ_TIMEOUT_TAG: u64 = 0xE000_0000_0000_0000;
-/// Timer-tag namespace for resilient-query backed-off re-issues.
-pub const RQ_RESEND_TAG: u64 = 0xF000_0000_0000_0000;
-const RQ_PHASE_MASK: u64 = 0xF000_0000_0000_0000;
-const RQ_ID_MASK: u64 = !RQ_PHASE_MASK;
 
 /// Application commands injected into a simulated peer.
 #[derive(Debug, Clone)]
@@ -33,17 +30,14 @@ pub enum PeerCommand {
         ttl: Option<u8>,
     },
     /// A query that re-issues itself until a non-empty result arrives
-    /// or the attempt budget is spent — `backoff` of virtual time
-    /// between attempts, each attempt given `attempt_timeout`. Ends in
-    /// exactly one [`PeerEvent::QueryResult`] (non-empty) or
-    /// [`PeerEvent::QueryFailed`]; never hangs.
+    /// or `retry`'s machine gives up, each attempt given the retry's
+    /// attempt timeout. Ends in exactly one [`PeerEvent::QueryResult`]
+    /// (non-empty) or [`PeerEvent::QueryFailed`]; never hangs.
     ResilientQuery {
         token: u64,
         query: P2psQuery,
         ttl: Option<u8>,
-        attempt_timeout: Dur,
-        max_attempts: u32,
-        backoff: Dur,
+        retry: SimRetry,
     },
     OpenPipe {
         name: String,
@@ -161,15 +155,10 @@ impl P2psHandle {
 
 /// One in-flight [`PeerCommand::ResilientQuery`].
 #[derive(Debug)]
-struct ResilientQueryState {
+struct PendingQuery {
     token: u64,
     query: P2psQuery,
     ttl: Option<u8>,
-    attempt_timeout: Dur,
-    max_attempts: u32,
-    backoff: Dur,
-    attempts: u32,
-    timeout: Option<TimerId>,
 }
 
 /// A simulated P2PS peer node.
@@ -180,9 +169,8 @@ pub struct P2psSimNode {
     events: Rc<RefCell<Vec<(Time, PeerEvent)>>>,
     tokens: HashMap<u64, u64>, // query id -> application token
     refresh_every: Option<Dur>,
-    rqueries: HashMap<u64, ResilientQueryState>, // rq id -> state
-    rq_by_token: HashMap<u64, u64>,              // application token -> rq id
-    next_rq: u64,
+    rqueries: RetryCalls<PendingQuery>,
+    rq_by_token: HashMap<u64, u64>, // application token -> rq id
 }
 
 impl P2psSimNode {
@@ -209,9 +197,8 @@ impl P2psSimNode {
             events,
             tokens: HashMap::new(),
             refresh_every,
-            rqueries: HashMap::new(),
+            rqueries: RetryCalls::default(),
             rq_by_token: HashMap::new(),
-            next_rq: 0,
         };
         (node, handle)
     }
@@ -241,11 +228,9 @@ impl P2psSimNode {
                             ctx.count("p2ps.rq_empty_result");
                             continue;
                         }
-                        if let Some(state) = self.rqueries.remove(&rq) {
-                            self.rq_by_token.remove(&state.token);
-                            if let Some(timer) = state.timeout {
-                                ctx.cancel_timer(timer);
-                            }
+                        let succeeded = RetryEvent::Succeeded;
+                        if let Some(end) = self.rqueries.step(ctx, rq, succeeded, |_, _, _| {}) {
+                            self.rq_by_token.remove(&end.data.token);
                             ctx.count("p2ps.rq_completed");
                         }
                     }
@@ -309,28 +294,15 @@ impl P2psSimNode {
                     token,
                     query,
                     ttl,
-                    attempt_timeout,
-                    max_attempts,
-                    backoff,
+                    retry,
                 } => {
-                    let rq = self.next_rq;
-                    self.next_rq += 1;
-                    self.rqueries.insert(
-                        rq,
-                        ResilientQueryState {
-                            token,
-                            query,
-                            ttl,
-                            attempt_timeout,
-                            max_attempts: max_attempts.max(1),
-                            backoff,
-                            attempts: 0,
-                            timeout: None,
-                        },
-                    );
+                    let pending = PendingQuery { token, query, ttl };
+                    let mut outputs = Vec::new();
+                    let rq = self.rqueries.begin(ctx, retry, pending, |ctx, _, pending| {
+                        outputs = issue_query(&mut self.machine, &mut self.tokens, ctx, pending)
+                    });
                     self.rq_by_token.insert(token, rq);
-                    self.issue_rq_attempt(ctx, rq);
-                    Vec::new()
+                    outputs
                 }
                 PeerCommand::OpenPipe { name } => {
                     self.machine.open_pipe(Some(name));
@@ -343,58 +315,43 @@ impl P2psSimNode {
         }
     }
 
-    /// Issue (or re-issue) one attempt of a resilient query and arm its
-    /// timeout. The timer is armed *before* dispatching, so a local
-    /// cache hit that completes the query immediately also cancels it.
-    fn issue_rq_attempt(&mut self, ctx: &mut Context<'_, String>, rq: u64) {
-        let (query, ttl, attempt_timeout) = {
-            let Some(state) = self.rqueries.get_mut(&rq) else {
-                return;
-            };
-            state.attempts += 1;
-            (state.query.clone(), state.ttl, state.attempt_timeout)
-        };
-        ctx.count("p2ps.rq_attempt");
-        let now = ctx.now();
-        let (id, outputs) = self.machine.query(now, query, ttl);
-        let state = self.rqueries.get_mut(&rq).expect("state survives query");
-        self.tokens.insert(id, state.token);
-        state.timeout = Some(ctx.set_timer(attempt_timeout, RQ_TIMEOUT_TAG | rq));
+    /// Feed a resilient-query timer through: a timeout re-issues the
+    /// query (at once or after the backoff) or ends it in
+    /// [`PeerEvent::QueryFailed`].
+    fn on_rq_timer(&mut self, ctx: &mut Context<'_, String>, tag: u64) {
+        let mut outputs = Vec::new();
+        let end = self.rqueries.on_timer(ctx, tag, |ctx, _, pending| {
+            outputs = issue_query(&mut self.machine, &mut self.tokens, ctx, pending)
+        });
+        if let Some(CallEnd { attempts, data, .. }) = end {
+            self.rq_by_token.remove(&data.token);
+            ctx.count("p2ps.rq_failed");
+            self.events.borrow_mut().push((
+                ctx.now(),
+                PeerEvent::QueryFailed {
+                    token: data.token,
+                    attempts,
+                },
+            ));
+        }
         self.dispatch(ctx, outputs);
     }
+}
 
-    fn on_rq_timer(&mut self, ctx: &mut Context<'_, String>, tag: u64) {
-        let rq = tag & RQ_ID_MASK;
-        match tag & RQ_PHASE_MASK {
-            RQ_TIMEOUT_TAG => {
-                let (give_up, backoff) = {
-                    let Some(state) = self.rqueries.get_mut(&rq) else {
-                        return;
-                    };
-                    state.timeout = None;
-                    (state.attempts >= state.max_attempts, state.backoff)
-                };
-                if give_up {
-                    let state = self.rqueries.remove(&rq).expect("checked above");
-                    self.rq_by_token.remove(&state.token);
-                    ctx.count("p2ps.rq_failed");
-                    self.events.borrow_mut().push((
-                        ctx.now(),
-                        PeerEvent::QueryFailed {
-                            token: state.token,
-                            attempts: state.attempts,
-                        },
-                    ));
-                } else if backoff == Dur::ZERO {
-                    self.issue_rq_attempt(ctx, rq);
-                } else {
-                    ctx.set_timer(backoff, RQ_RESEND_TAG | rq);
-                }
-            }
-            RQ_RESEND_TAG => self.issue_rq_attempt(ctx, rq),
-            _ => {}
-        }
-    }
+/// Issue one attempt of a resilient query. The retry table arms the
+/// attempt timeout right after this returns and *before* the outputs
+/// are dispatched, so a local cache hit that completes the query at
+/// once also cancels it.
+fn issue_query(
+    machine: &mut PeerMachine,
+    tokens: &mut HashMap<u64, u64>,
+    ctx: &mut Context<'_, String>,
+    pending: &mut PendingQuery,
+) -> Vec<PeerOutput> {
+    ctx.count("p2ps.rq_attempt");
+    let (id, outputs) = machine.query(ctx.now(), pending.query.clone(), pending.ttl);
+    tokens.insert(id, pending.token);
+    outputs
 }
 
 impl Node<String> for P2psSimNode {
@@ -702,9 +659,7 @@ mod tests {
                 token: 42,
                 query: P2psQuery::by_name("Echo"),
                 ttl: None,
-                attempt_timeout: Dur::millis(100),
-                max_attempts: 10,
-                backoff: Dur::millis(20),
+                retry: SimRetry::fixed(Dur::millis(100), Dur::millis(20), 9),
             },
         );
         publisher.enqueue_at(
@@ -752,9 +707,7 @@ mod tests {
                 token: 9,
                 query: P2psQuery::by_name("Nowhere"),
                 ttl: None,
-                attempt_timeout: Dur::millis(50),
-                max_attempts: 3,
-                backoff: Dur::millis(10),
+                retry: SimRetry::fixed(Dur::millis(50), Dur::millis(10), 2),
             },
         );
         net.run_to_quiescence();
@@ -805,9 +758,7 @@ mod tests {
                     token: 1,
                     query: P2psQuery::by_name("Echo"),
                     ttl: None,
-                    attempt_timeout: Dur::millis(80),
-                    max_attempts: 8,
-                    backoff: Dur::millis(15),
+                    retry: SimRetry::fixed(Dur::millis(80), Dur::millis(15), 7),
                 },
             );
             net.run_to_quiescence();

@@ -16,15 +16,17 @@
 //!   shard's backups in preference order, whose write path runs the
 //!   view change server-side.
 //!
-//! Retry counts come from the session [`ResiliencePolicy`]; every
-//! publish/locate lands in the `registry.publish` / `registry.locate`
-//! telemetry series the `/metrics` endpoint exports.
+//! Retry counts come from the client's [`ResiliencePolicy`] and run
+//! under the stack's one retry machine; every publish/locate lands in
+//! the `registry.publish` / `registry.locate` telemetry series the
+//! `/metrics` endpoint exports.
 
 use crate::shard::{ShardMap, REGISTRY_NS};
 use parking_lot::RwLock;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
+use wsp_core::resilience::{run_retrying, Failure, RetryMachine};
 use wsp_core::{telemetry, Admission, BreakerConfig, EndpointHealth, ResiliencePolicy};
 use wsp_soap::{Envelope, Fault};
 use wsp_uddi::{BusinessService, ServiceInfo, SoapTransport, UddiError, UDDI_NS};
@@ -277,21 +279,28 @@ impl ShardedUddiClient {
         self.routed_write_to_shard(shard, build)
     }
 
-    /// The failover write loop: primary first, then backups; versioned
-    /// redirects refresh the cached map and restart the route.
+    /// The failover write under the retry machine. One attempt is one
+    /// pass over the shard's failover order at one map epoch: primary
+    /// first, then backups. A versioned redirect refreshes the cached
+    /// map and starts the next pass at once; a pass every replica
+    /// refused gets one map refresh, which may reveal a new view. Writes
+    /// are keyed (a republish overwrites), so a resend is safe.
     fn routed_write_to_shard(
         &self,
         shard: u32,
         build: impl Fn(u64) -> Element,
     ) -> Result<Element, RegistryError> {
         let t = telemetry::global();
-        let attempts = self.policy.schedule().len().max(1) + 1;
+        let passes = self.policy.schedule().len().max(1) + 1;
+        let machine = RetryMachine {
+            backoffs: vec![0; passes - 1],
+            deadline: None,
+            idempotent: true,
+        };
         let mut last_err = "no replica reachable".to_owned();
-        for _ in 0..attempts {
+        let pass = |_| {
             let map = self.cached_map();
-            let order = map.shard(shard).failover_order();
-            let mut rerouted = false;
-            for (hop, node) in order.iter().copied().enumerate() {
+            for (hop, node) in map.shard(shard).failover_order().into_iter().enumerate() {
                 if hop > 0 {
                     t.counter("registry.publish.failovers").incr();
                 }
@@ -299,25 +308,20 @@ impl ShardedUddiClient {
                     Ok(body) => return Ok(body),
                     Err(CallError::Recover(Recovery::Rerouted)) => {
                         t.counter("registry.publish.redirects").incr();
-                        rerouted = true;
-                        break;
+                        let error = RegistryError::Unavailable(last_err.clone());
+                        return Err(Failure::new(error, true, true));
                     }
                     Err(CallError::Recover(Recovery::NextReplica)) => {
                         last_err = format!("node {node} unreachable");
-                        continue;
                     }
-                    Err(CallError::Fatal(e)) => return Err(e),
+                    Err(CallError::Fatal(e)) => return Err(Failure::new(e, false, true)),
                 }
             }
-            if !rerouted {
-                // Every replica refused at this epoch; one map refresh
-                // may reveal a new view before we give up.
-                if self.refresh_map().is_err() {
-                    break;
-                }
-            }
-        }
-        Err(RegistryError::Unavailable(last_err))
+            let refreshed = self.refresh_map().is_ok();
+            let error = RegistryError::Unavailable(last_err.clone());
+            Err(Failure::new(error, refreshed, true))
+        };
+        run_retrying(&machine, Instant::now(), pass, |_, _, _| {}).map_err(|(error, _)| error)
     }
 
     /// One SOAP call to `node`, classified for the failover loop.

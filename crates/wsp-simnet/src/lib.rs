@@ -52,6 +52,7 @@ pub mod metrics;
 pub mod net;
 pub mod node;
 pub mod peers;
+pub mod retry;
 pub mod time;
 pub mod topology;
 pub mod trace;
@@ -66,6 +67,10 @@ pub use metrics::{Metrics, Summary};
 pub use net::SimNet;
 pub use node::{Context, Node, NodeEvent, NodeId, Payload, TimerId};
 pub use peers::{PeerCtx, PeerEvent, PeerModel, PeerMsg, PeerSim};
+pub use retry::{
+    CallEnd, GiveUp, RetryCalls, RetryEffect, RetryEvent, RetryMachine, RetryPhase, RetryState,
+    SimRetry,
+};
 pub use time::{Dur, Time};
 pub use topology::Topology;
 pub use trace::{Trace, TraceEvent};

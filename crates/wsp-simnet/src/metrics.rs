@@ -89,9 +89,13 @@ impl Summary {
     }
 }
 
-/// Nearest-rank percentile of a pre-sorted slice.
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    debug_assert!(!sorted.is_empty());
+/// Nearest-rank percentile (`p` in 0–100) of a pre-sorted slice; the
+/// default value (zero for numbers) when the slice is empty. The one
+/// percentile rule of the simulator and the bench harness.
+pub fn percentile<T: Copy + PartialOrd + Default>(sorted: &[T], p: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
     let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
     sorted[rank.min(sorted.len()) - 1]
 }

@@ -84,8 +84,9 @@ echo "==> E15 artifact (BENCH_E15.json, quick)"
 timeout 300 cargo run -q --release -p wsp-bench --bin e15 -- quick
 
 # Model checking (PR 6): exhaustively explore every pure protocol
-# machine (breaker, admission, correlation, drain, RPC routing) plus
-# the composed breaker×admission×correlation pipeline, checking the
+# machine (breaker, admission, correlation, drain, conn, RPC routing,
+# replication, lease, retry) plus the composed
+# breaker×admission×correlation pipeline, checking the
 # invariant suite on every reachable state and transition. Runs in well
 # under a minute; on failure it prints the shortest counterexample
 # trace. The shell↔machine lockstep properties ride in the normal
@@ -96,8 +97,10 @@ cargo run -q --release -p wsp-check
 # Discovery plane (PR 9): the replicated registry. The wsp-check run
 # above already exhausts the VR-lite replication group and the lease
 # machine; the mutation pass below re-runs every seeded mutant (the
-# skip-log-catchup replica among them) and fails unless each one is
-# condemned with a counterexample trace. Then the failover matrix:
+# skip-log-catchup replica among them, and the retry machine's
+# off-by-one budget, resend-after-execution and hint-past-deadline
+# mutants — nine in all) and fails unless each one is condemned with a
+# counterexample trace. Then the failover matrix:
 # committed publishes must survive a primary crash, stale-epoch clients
 # must complete after the versioned shard-map redirect over BOTH real
 # bindings (HTTP and P2PS pipes), and lease-expiry traces must replay

@@ -12,12 +12,10 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 use wsp_core::{Client, EventBus, Invoker, LocatedService, ResiliencePolicy, WspError};
-use wsp_http::{
-    HttpSimServer, Request, ResilientSimClient, Response, RetrySchedule, Router, SimCallOutcome,
-};
+use wsp_http::{HttpSimServer, Request, ResilientSimClient, Response, Router, SimCallOutcome};
 use wsp_p2ps::{build_overlay, P2psQuery, PeerCommand, PeerEvent, ServiceAdvertisement};
 use wsp_simnet::{
-    Context, Dur, FaultPlan, LinkSpec, Node, NodeEvent, NodeId, SimNet, Time, Topology,
+    Context, Dur, FaultPlan, LinkSpec, Node, NodeEvent, NodeId, SimNet, SimRetry, Time, Topology,
 };
 
 /// The matrix seed; every scenario derives from it so one environment
@@ -83,7 +81,7 @@ impl Node<String> for CallSource {
 fn run_http(
     sim_seed: u64,
     calls: usize,
-    schedule: RetrySchedule,
+    retry: SimRetry,
     plan: impl FnOnce(NodeId, NodeId) -> FaultPlan,
 ) -> (Vec<SimCallOutcome>, Time) {
     let mut net: SimNet<String> = SimNet::new(sim_seed);
@@ -101,7 +99,7 @@ fn run_http(
     let outcomes = Rc::new(RefCell::new(Vec::new()));
     let client = net.add_node(Box::new(CallSource {
         server,
-        client: ResilientSimClient::new(schedule),
+        client: ResilientSimClient::new(retry),
         calls,
         every: Dur::millis(50),
         started: 0,
@@ -119,7 +117,7 @@ fn run_http(
 fn run_http_overloaded(
     sim_seed: u64,
     calls: usize,
-    schedule: RetrySchedule,
+    retry: SimRetry,
     queue_limit: usize,
 ) -> (Vec<SimCallOutcome>, Time) {
     let mut net: SimNet<String> = SimNet::new(sim_seed);
@@ -135,7 +133,7 @@ fn run_http_overloaded(
     let outcomes = Rc::new(RefCell::new(Vec::new()));
     net.add_node(Box::new(CallSource {
         server,
-        client: ResilientSimClient::new(schedule),
+        client: ResilientSimClient::new(retry),
         calls,
         every: Dur::millis(5),
         started: 0,
@@ -150,8 +148,8 @@ fn run_http_overloaded(
 fn http_loss_matrix_never_hangs() {
     // {0%, 5%, 20%} loss: every single call reaches a terminal outcome.
     for (i, loss) in [0.0, 0.05, 0.2].into_iter().enumerate() {
-        let schedule = RetrySchedule::fixed(Dur::millis(60), Dur::millis(10), 5);
-        let (outcomes, _) = run_http(seed() + i as u64, 8, schedule, |_, _| {
+        let retry = SimRetry::fixed(Dur::millis(60), Dur::millis(10), 5);
+        let (outcomes, _) = run_http(seed() + i as u64, 8, retry, |_, _| {
             FaultPlan::new(seed()).default_loss(loss)
         });
         assert_eq!(
@@ -178,8 +176,8 @@ fn http_retry_beats_no_retry_at_heavy_loss() {
             .filter(|o| matches!(o, SimCallOutcome::Completed { .. }))
             .count()
     };
-    let with_retry = RetrySchedule::fixed(Dur::millis(60), Dur::millis(10), 6);
-    let without = RetrySchedule::none(Dur::millis(60));
+    let with_retry = SimRetry::fixed(Dur::millis(60), Dur::millis(10), 6);
+    let without = SimRetry::once(Dur::millis(60));
     let (retrying, _) = run_http(seed(), 12, with_retry, |_, _| {
         FaultPlan::new(seed()).default_loss(0.2)
     });
@@ -198,8 +196,8 @@ fn http_retry_beats_no_retry_at_heavy_loss() {
 fn http_blackout_mid_call_is_survived() {
     // The link goes black at 40ms for 200ms — mid-flight for the second
     // call. Retries after restoration complete every call.
-    let schedule = RetrySchedule::fixed(Dur::millis(80), Dur::millis(20), 6);
-    let (outcomes, _) = run_http(seed(), 4, schedule, |client, server| {
+    let retry = SimRetry::fixed(Dur::millis(80), Dur::millis(20), 6);
+    let (outcomes, _) = run_http(seed(), 4, retry, |client, server| {
         FaultPlan::new(seed()).blackout(client, server, Time::millis(40), Time::millis(240))
     });
     assert_eq!(outcomes.len(), 4);
@@ -222,8 +220,8 @@ fn http_server_churn_is_survived_or_classified() {
     // The server crashes at 60ms (losing queued work) and returns at
     // 300ms. Every call still terminates; calls landing in the outage
     // window either retry to completion or exhaust classified.
-    let schedule = RetrySchedule::fixed(Dur::millis(70), Dur::millis(30), 6);
-    let (outcomes, _) = run_http(seed(), 6, schedule, |_, server| {
+    let retry = SimRetry::fixed(Dur::millis(70), Dur::millis(30), 6);
+    let (outcomes, _) = run_http(seed(), 6, retry, |_, server| {
         FaultPlan::new(seed()).outage(server, Time::millis(60), Time::millis(300))
     });
     assert_eq!(outcomes.len(), 6, "churn must not leave calls hanging");
@@ -240,8 +238,8 @@ fn http_server_churn_is_survived_or_classified() {
 #[test]
 fn http_fault_runs_are_bit_reproducible() {
     let run = || {
-        let schedule = RetrySchedule::fixed(Dur::millis(60), Dur::millis(10), 5);
-        run_http(seed(), 10, schedule, |client, server| {
+        let retry = SimRetry::fixed(Dur::millis(60), Dur::millis(10), 5);
+        run_http(seed(), 10, retry, |client, server| {
             FaultPlan::new(seed()).default_loss(0.2).blackout(
                 client,
                 server,
@@ -263,8 +261,7 @@ fn http_overload_sheds_the_overflow_and_serves_the_rest() {
     // 4× overload, no retries: the server's queue bound turns the
     // overflow into fast 503 exhaustions while everything it queues is
     // served — no call hangs and no call is silently dropped.
-    let (outcomes, _) =
-        run_http_overloaded(seed() + 400, 16, RetrySchedule::none(Dur::millis(200)), 2);
+    let (outcomes, _) = run_http_overloaded(seed() + 400, 16, SimRetry::once(Dur::millis(200)), 2);
     assert_eq!(outcomes.len(), 16, "every call reaches a terminal outcome");
     let served = outcomes
         .iter()
@@ -296,8 +293,8 @@ fn http_overload_backoff_recovers_more_goodput_than_hammering() {
             .filter(|o| matches!(o, SimCallOutcome::Completed { .. }))
             .count()
     };
-    let spaced = RetrySchedule::fixed(Dur::millis(200), Dur::millis(60), 5);
-    let hammer = RetrySchedule::fixed(Dur::millis(200), Dur::millis(1), 5);
+    let spaced = SimRetry::fixed(Dur::millis(200), Dur::millis(60), 5);
+    let hammer = SimRetry::fixed(Dur::millis(200), Dur::millis(1), 5);
     let (with_backoff, _) = run_http_overloaded(seed() + 410, 16, spaced, 2);
     let (hammering, _) = run_http_overloaded(seed() + 410, 16, hammer, 2);
     assert_eq!(with_backoff.len(), 16);
@@ -313,8 +310,8 @@ fn http_overload_backoff_recovers_more_goodput_than_hammering() {
 #[test]
 fn http_overload_runs_are_bit_reproducible() {
     let run = || {
-        let schedule = RetrySchedule::fixed(Dur::millis(200), Dur::millis(60), 4);
-        run_http_overloaded(seed() + 420, 20, schedule, 2)
+        let retry = SimRetry::fixed(Dur::millis(200), Dur::millis(60), 4);
+        run_http_overloaded(seed() + 420, 20, retry, 2)
     };
     let (outcomes_a, end_a) = run();
     let (outcomes_b, end_b) = run();
@@ -349,9 +346,7 @@ fn run_p2ps(sim_seed: u64, loss: f64, max_attempts: u32) -> Vec<PeerEvent> {
             token: 1,
             query: P2psQuery::by_name("Echo"),
             ttl: None,
-            attempt_timeout: Dur::millis(80),
-            max_attempts,
-            backoff: Dur::millis(15),
+            retry: SimRetry::fixed(Dur::millis(80), Dur::millis(15), max_attempts as usize - 1),
         },
     );
     net.run_to_quiescence();

@@ -295,6 +295,104 @@ fn total_backend_loss_is_unavailable_and_invalidates_the_route() {
     );
 }
 
+/// A raw-socket backend that reads one request per connection, counts
+/// it, answers `200` with a body cut off mid-way and closes: the
+/// request ran, but the gateway cannot tell from the wire.
+fn truncating_backend(service: &str) -> (String, Arc<AtomicU64>) {
+    use std::io::{Read, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let uri = format!("http://{}/{service}", listener.local_addr().unwrap());
+    let hits = Arc::new(AtomicU64::new(0));
+    let counted = Arc::clone(&hits);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            let mut request = Vec::new();
+            let mut chunk = [0u8; 4096];
+            // Read the head and the declared body before answering.
+            let complete = |buf: &[u8]| {
+                let text = String::from_utf8_lossy(buf);
+                let Some(head_end) = text.find("\r\n\r\n") else {
+                    return false;
+                };
+                let length = text[..head_end]
+                    .lines()
+                    .find_map(|line| {
+                        let (name, value) = line.split_once(':')?;
+                        name.eq_ignore_ascii_case("content-length")
+                            .then(|| value.trim().parse::<usize>().ok())?
+                    })
+                    .unwrap_or(0);
+                buf.len() >= head_end + 4 + length
+            };
+            while !complete(&request) {
+                match stream.read(&mut chunk) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => request.extend_from_slice(&chunk[..n]),
+                }
+            }
+            counted.fetch_add(1, Ordering::SeqCst);
+            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 400\r\n\r\n<partial");
+        }
+    });
+    (uri, hits)
+}
+
+/// A request that may already have run on one backend is not resent to
+/// another unless its operation is declared idempotent: the cut-off
+/// reply fails the call as Unavailable, with the breaker failure and
+/// the route invalidation of an exhausted failover. An idempotent
+/// operation still fails over.
+#[test]
+fn a_non_idempotent_request_is_not_resent_after_it_may_have_run() {
+    let cluster = test_cluster();
+    let (cut_uri, cut_hits) = truncating_backend("Ledger");
+    let (standby, standby_uri, standby_hits) = backend("Ledger", "standby");
+    publish(&eager_client(&cluster), "Ledger", &[&cut_uri, &standby_uri]);
+    let gateway = Gateway::new(eager_client(&cluster), GatewayConfig::default());
+
+    match gateway.invoke("t", "Ledger", &soap_request("credit 10"), None) {
+        Err(GatewayError::Unavailable(_)) => {}
+        other => panic!("expected Unavailable, got {other:?}"),
+    }
+    assert_eq!(cut_hits.load(Ordering::SeqCst), 1, "the put ran once");
+    assert_eq!(
+        standby_hits.load(Ordering::SeqCst),
+        0,
+        "and was not resent to the standby"
+    );
+    assert_eq!(
+        gateway
+            .pools()
+            .health()
+            .breaker(&cut_uri)
+            .consecutive_failures(),
+        1,
+        "the cut-off reply counts against the backend"
+    );
+    assert_eq!(
+        gateway.caches().locate_entries(),
+        0,
+        "the suspect route is invalidated"
+    );
+
+    let (cut_uri, cut_hits) = truncating_backend("Audit");
+    let (standby_too, standby_uri, standby_hits) = backend("Audit", "standby");
+    publish(&eager_client(&cluster), "Audit", &[&cut_uri, &standby_uri]);
+    let gateway = Gateway::new(
+        eager_client(&cluster),
+        GatewayConfig::default().idempotent("Audit", "ask"),
+    );
+    let reply = gateway
+        .invoke("t", "Audit", &soap_request("balance"), None)
+        .expect("an idempotent operation fails over");
+    assert_eq!(reply_text(&reply.body), "standby");
+    assert_eq!(cut_hits.load(Ordering::SeqCst), 1);
+    assert_eq!(standby_hits.load(Ordering::SeqCst), 1);
+    standby.shutdown();
+    standby_too.shutdown();
+}
+
 /// Seeded registry-failover matrix: the shard primary crashes while the
 /// gateway holds cached routes filled under the old epoch. The view
 /// change bumps the map epoch; the gateway's next probe flushes the

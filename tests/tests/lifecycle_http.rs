@@ -260,3 +260,40 @@ fn two_providers_same_name_both_located() {
     assert_eq!(endpoints.len(), 2, "distinct providers");
     registry.shutdown();
 }
+
+/// Registry retries run under the binding's policy deadline: against an
+/// unreachable registry, five attempts 50 ms apart (doubling) would
+/// sleep 750 ms, but a 60 ms deadline ends the call after the first
+/// backoff.
+#[test]
+fn registry_retries_stop_at_the_policy_deadline() {
+    use std::time::{Duration, Instant};
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .port();
+    let policy = wsp_core::ResiliencePolicy::retrying(5)
+        .with_backoff(Duration::from_millis(50), 2.0, Duration::from_secs(1))
+        .with_deadline(Duration::from_millis(60));
+    let binding = HttpUddiBinding::new(
+        UddiClient::http(format!("http://127.0.0.1:{port}/uddi")),
+        EventBus::new(),
+        HttpUddiConfig {
+            registry_policy: policy,
+            ..HttpUddiConfig::default()
+        },
+    );
+    let peer = Peer::with_binding(&binding);
+    let started = Instant::now();
+    let result = peer.client().locate(&ServiceQuery::by_name("Nowhere"));
+    let took = started.elapsed();
+    assert!(
+        matches!(result, Err(WspError::Locate(_))),
+        "an unreachable registry fails discovery: {result:?}"
+    );
+    assert!(
+        took < Duration::from_millis(200),
+        "the 60 ms deadline must cut the 750 ms backoff schedule short, took {took:?}"
+    );
+}

@@ -1,7 +1,8 @@
 //! Bisimulation between the runtime shells and their pure machines.
 //!
 //! Each shell (circuit breaker, admission controller, dispatcher
-//! correlation table, P2PS RPC correlator) claims to be a thin wrapper
+//! correlation table, P2PS RPC correlator, the retry machine's
+//! wall-clock shell) claims to be a thin wrapper
 //! around a pure `Machine`: events in, effects out, nothing else. These
 //! properties drive random event sequences through the shell and a
 //! hand-stepped mirror of the machine in lockstep, asserting after
@@ -19,11 +20,117 @@ use wsp_core::machines::admission::{AdmissionEffect, AdmissionEvent, AdmissionMa
 use wsp_core::machines::breaker::{Admit, BreakerEffect, BreakerEvent, BreakerMachine, Phase};
 use wsp_core::machines::correlation::{CallPhase, CorrelationEvent, CorrelationMachine};
 use wsp_core::overload::{AdmissionController, AdmissionPermit, LoadShedPolicy, ANONYMOUS_TENANT};
+use wsp_core::resilience::{run_retrying, Failure};
 use wsp_p2ps::rpc::{decode_request, encode_response};
 use wsp_p2ps::{PeerId, PipeAdvertisement, RpcCorrelator};
-use wsp_simnet::{step_mut, Machine};
+use wsp_simnet::{step_mut, GiveUp, Machine, RetryEffect, RetryEvent, RetryMachine};
 use wsp_soap::Envelope;
 use wsp_xml::Element;
+
+// ---------------------------------------------------------------------------
+// Wall-clock retry shell ⇔ RetryMachine
+// ---------------------------------------------------------------------------
+
+/// One scripted attempt outcome: `None` answers, `Some` fails with
+/// (retryable, may_have_executed, retry-after hint in µs).
+type Scripted = Option<(bool, bool, Option<u64>)>;
+
+fn arb_retry_case() -> impl Strategy<Value = (Vec<u64>, bool, bool, Vec<Scripted>)> {
+    (
+        // Backoffs of 0–2 µs keep the real sleeps negligible.
+        proptest::collection::vec(0u64..3, 0..4),
+        any::<bool>(),
+        any::<bool>(),
+        proptest::collection::vec(
+            proptest::option::of((any::<bool>(), any::<bool>(), proptest::option::of(0u64..3))),
+            0..6,
+        ),
+    )
+}
+
+/// Waits carry the shell's clock; compare them by kind only.
+fn retry_effect_shape(effect: RetryEffect) -> RetryEffect {
+    match effect {
+        RetryEffect::Wait { .. } => RetryEffect::Wait { until: 0 },
+        other => other,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Drive the wall-clock shell with scripted attempt outcomes and
+    /// step the machine by hand on the same script: the attempts made,
+    /// every effect (waits by kind; the deadline is far enough that the
+    /// clock never decides) and the final verdict must agree.
+    #[test]
+    fn wall_clock_shell_bisimulates_retry_machine(
+        (backoffs, idempotent, bounded, script) in arb_retry_case()
+    ) {
+        let machine = RetryMachine {
+            backoffs,
+            deadline: bounded.then_some(60_000_000),
+            idempotent,
+        };
+        let outcome = |i: u32| script.get(i as usize - 1).copied().flatten();
+
+        let mut shell_attempts = Vec::new();
+        let mut shell_effects = Vec::new();
+        let shell = run_retrying(
+            &machine,
+            Instant::now(),
+            |attempt| {
+                shell_attempts.push(attempt);
+                match outcome(attempt) {
+                    None => Ok(attempt),
+                    Some((retryable, may_have_executed, hint)) => Err(Failure {
+                        error: attempt,
+                        retryable,
+                        may_have_executed,
+                        retry_after: hint.map(Duration::from_micros),
+                    }),
+                }
+            },
+            |_, effect, _| shell_effects.push(retry_effect_shape(effect)),
+        )
+        .map_err(|(error, reason)| (reason, error));
+
+        let mut state = machine.initial();
+        let mut mirror_attempts = Vec::new();
+        let mut mirror_effects = Vec::new();
+        let mirror: Result<u32, (GiveUp, u32)> = loop {
+            let attempt = state.attempt;
+            mirror_attempts.push(attempt);
+            let event = match outcome(attempt) {
+                None => RetryEvent::Succeeded,
+                Some((retryable, may_have_executed, retry_after)) => RetryEvent::Failed {
+                    now: 0,
+                    retryable,
+                    may_have_executed,
+                    retry_after,
+                },
+            };
+            let mut effect = step_mut(&machine, &mut state, &event);
+            if let [RetryEffect::Wait { .. }] = effect[..] {
+                mirror_effects.push(RetryEffect::Wait { until: 0 });
+                effect = step_mut(&machine, &mut state, &RetryEvent::Woke { now: 1 });
+            }
+            prop_assert_eq!(effect.len(), 1);
+            mirror_effects.push(effect[0]);
+            match effect[0] {
+                RetryEffect::Deliver => break Ok(attempt),
+                RetryEffect::GiveUp(reason) => break Err((reason, attempt)),
+                RetryEffect::Send { .. } => {}
+                RetryEffect::Wait { .. } => unreachable!("a wake-up never waits"),
+            }
+        };
+
+        prop_assert_eq!(&shell_attempts, &mirror_attempts);
+        prop_assert_eq!(&shell_effects, &mirror_effects);
+        prop_assert_eq!(shell, mirror);
+        prop_assert!(shell_attempts.len() as u32 <= machine.max_attempts());
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Circuit breaker ⇔ BreakerMachine
